@@ -49,7 +49,10 @@
 //! the overload governor and of the armed live observability plane
 //! (burn-rate evaluation + a polled scrape server) at >= 0.95x the
 //! plain streaming engine; the ungated `engine_observe_spans` stage
-//! records what the export-path span assembler adds on top. The binary
+//! records what the export-path span assembler adds on top. The ungated
+//! `sched_proposed` stage times the proposed scheduler against a
+//! first-idle policy on the indexed `run_stream` + `NullSink` loop and
+//! records its absolute wall time per offer and per completion. The binary
 //! exits non-zero when the guard fails, so it can serve as a CI perf
 //! gate.
 //!
@@ -186,6 +189,8 @@ struct Stage {
     name: &'static str,
     reference: Sample,
     fused: Sample,
+    /// Stage-specific absolute figures appended to the artifact entry.
+    extra: Vec<(&'static str, Json)>,
 }
 
 impl Stage {
@@ -206,7 +211,7 @@ impl Stage {
     }
 
     fn to_json(&self, min_speedup: f64) -> Json {
-        Json::object([
+        let fields = [
             ("stage", Json::str(self.name)),
             ("gated", Json::Bool(self.gated())),
             (
@@ -232,7 +237,10 @@ impl Stage {
             ("fused_iters", Json::UInt(u64::from(self.fused.iters))),
             ("speedup", Json::Num(self.speedup())),
             ("mean_speedup", Json::Num(self.mean_speedup())),
-        ])
+        ]
+        .into_iter()
+        .chain(self.extra.iter().cloned());
+        Json::object(fields)
     }
 }
 
@@ -251,6 +259,7 @@ fn measure_oracle(label: &'static str, suite: &Suite, iters: u32) -> Stage {
         name: label,
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -271,6 +280,7 @@ fn measure_training(iters: u32) -> Stage {
         name: "predictor_train_small",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -301,6 +311,7 @@ fn measure_run_all(iters: u32) -> Stage {
         name: "testbed_run_all_small",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -349,6 +360,7 @@ fn measure_bagging_train(iters: u32) -> Stage {
         name: "bagging_train",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -403,6 +415,7 @@ fn measure_ensemble_predict(iters: u32) -> Stage {
         name: "ensemble_predict",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -462,6 +475,7 @@ fn measure_predict_f32(iters: u32) -> Stage {
         name: "predict_f32",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -501,6 +515,7 @@ fn measure_distilled_predict(iters: u32) -> Stage {
         name: "distilled_predict",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -532,6 +547,103 @@ impl Scheduler for FirstIdle {
     }
 }
 
+/// Forwards to `inner`, counting scheduler offers and completions.
+struct CountCalls<S> {
+    inner: S,
+    offers: u64,
+    completions: u64,
+}
+
+impl<S: Scheduler> Scheduler for CountCalls<S> {
+    fn schedule(&mut self, job: &Job, cores: &CoreIndex, now: u64) -> Decision {
+        self.offers += 1;
+        self.inner.schedule(job, cores, now)
+    }
+
+    fn idle_power_nj_per_cycle(&self, core: CoreId) -> f64 {
+        self.inner.idle_power_nj_per_cycle(core)
+    }
+
+    fn on_complete(&mut self, job: &Job, core: CoreId, now: u64) {
+        self.completions += 1;
+        self.inner.on_complete(job, core, now);
+    }
+
+    fn on_preempt(&mut self, job: &Job, core: CoreId, now: u64) {
+        self.inner.on_preempt(job, core, now);
+    }
+
+    fn state_fingerprint(&self) -> u64 {
+        self.inner.state_fingerprint()
+    }
+}
+
+/// The paper's operating point: 5000 jobs per 700M cycles.
+const PAPER_RATE_PER_MCYCLE: f64 = 7.1;
+
+/// The scheduler-decision stage, ungated: the proposed system against the
+/// first-idle policy on the layer beneath it — the indexed
+/// `Simulator::run_stream` loop with a `NullSink` — over the same Poisson
+/// stream on the paper quad at 7.1 jobs/Mcycle. The first-idle policy
+/// decides in a few nanoseconds, so the ratio is the share of loop time
+/// the proposed system's decisions and profiling-table updates add. The
+/// artifact also records the proposed run's absolute wall time per
+/// scheduler offer and per completion, counted in one untimed pass.
+fn measure_sched_proposed(iters: u32) -> Stage {
+    let testbed = Testbed::small();
+    let jobs: usize = if iters <= 1 { 20_000 } else { 100_000 };
+    let stream =
+        || workloads::OpenLoop::poisson(PAPER_RATE_PER_MCYCLE, testbed.suite.len(), 7).take(jobs);
+    let sim = Simulator::new(testbed.arch.num_cores());
+    let system = || {
+        hetero_core::ProposedSystem::with_model(
+            &testbed.arch,
+            &testbed.oracle,
+            testbed.model,
+            testbed.predictor.clone(),
+        )
+    };
+    let mut counted = CountCalls {
+        inner: system(),
+        offers: 0,
+        completions: 0,
+    };
+    let _ = sim.run_stream(stream(), &mut counted, &mut NullSink);
+    let (reference, fused) = bench_paired(
+        "sched_first_idle",
+        || {
+            sim.run_stream(stream(), &mut FirstIdle, &mut NullSink)
+                .jobs_completed
+        },
+        "sched_proposed",
+        || {
+            sim.run_stream(stream(), &mut system(), &mut NullSink)
+                .jobs_completed
+        },
+        iters,
+    );
+    let ns_per = |count: u64| fused.min_ns / count.max(1) as f64;
+    println!(
+        "sched_proposed: {} offers, {} completions; {:.1} ns per offer, {:.1} ns per completion",
+        counted.offers,
+        counted.completions,
+        ns_per(counted.offers),
+        ns_per(counted.completions),
+    );
+    let extra = vec![
+        ("offers", Json::UInt(counted.offers)),
+        ("completions", Json::UInt(counted.completions)),
+        ("ns_per_offer", Json::Num(ns_per(counted.offers))),
+        ("ns_per_completion", Json::Num(ns_per(counted.completions))),
+    ];
+    Stage {
+        name: "sched_proposed",
+        reference,
+        fused,
+        extra,
+    }
+}
+
 /// The flight-recorder no-regression stage: `Simulator::run` (traced
 /// loop, `NullSink`) against `Simulator::run_reference` (verbatim
 /// pre-trace loop) on an arrival-dense preemptive workload. Both sides
@@ -551,6 +663,7 @@ fn measure_trace_overhead(iters: u32) -> Stage {
         name: "sim_trace_overhead",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -578,6 +691,7 @@ fn measure_fault_overhead(iters: u32) -> Stage {
         name: "sim_fault_overhead",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -607,6 +721,7 @@ fn measure_metrics_overhead(iters: u32) -> Stage {
         name: "sim_metrics_overhead",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -633,6 +748,7 @@ fn measure_manycore(iters: u32) -> Stage {
         name: "sim_manycore",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -702,6 +818,7 @@ fn measure_engine_stream(iters: u32) -> Stage {
         name: "engine_stream",
         reference: sample("stream_rss_budget_mb", STREAM_RSS_BUDGET_MB),
         fused: sample("stream_rss_growth_mb", growth_mb),
+        extra: Vec::new(),
     }
 }
 
@@ -787,6 +904,7 @@ fn measure_engine_overload(iters: u32) -> Stage {
         name: "engine_overload",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -861,6 +979,7 @@ fn measure_engine_observe(iters: u32) -> Stage {
         name: "engine_observe",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -924,6 +1043,7 @@ fn measure_engine_observe_spans(iters: u32) -> Stage {
         name: "engine_observe_spans",
         reference,
         fused,
+        extra: Vec::new(),
     }
 }
 
@@ -944,6 +1064,7 @@ fn measure_stage(name: &str, iters: u32) -> Stage {
         "sim_fault_overhead" => measure_fault_overhead(iters),
         "sim_metrics_overhead" => measure_metrics_overhead(iters),
         "sim_manycore" => measure_manycore(iters),
+        "sched_proposed" => measure_sched_proposed(iters),
         "engine_stream" => measure_engine_stream(iters),
         "engine_overload" => measure_engine_overload(iters),
         "engine_observe" => measure_engine_observe(iters),
@@ -1025,6 +1146,7 @@ fn main() -> ExitCode {
         "sim_fault_overhead",
         "sim_metrics_overhead",
         "sim_manycore",
+        "sched_proposed",
         "engine_stream",
         "engine_overload",
         "engine_observe",

@@ -42,6 +42,17 @@ impl CacheSizeKb {
     /// All sizes, smallest first.
     pub const ALL: [CacheSizeKb; 3] = [CacheSizeKb::K2, CacheSizeKb::K4, CacheSizeKb::K8];
 
+    /// Position in [`CacheSizeKb::ALL`] (0, 1 or 2), for tables indexed
+    /// by cache size.
+    ///
+    /// ```
+    /// use cache_sim::CacheSizeKb;
+    /// assert_eq!(CacheSizeKb::ALL.map(CacheSizeKb::index), [0, 1, 2]);
+    /// ```
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Capacity in kilobytes.
     pub fn kilobytes(self) -> u32 {
         match self {
@@ -376,11 +387,14 @@ impl CacheConfig {
         CacheConfig { line, ..self }
     }
 
-    /// Index of this configuration within [`design_space`] order.
+    /// Index of this configuration within [`design_space`] order, in O(1):
+    /// the 2/4/8 KB blocks start at rows 0, 3 and 9, and inside a block
+    /// each associativity spans the three line sizes.
     pub fn design_space_index(self) -> usize {
-        design_space()
-            .position(|c| c == self)
-            .expect("constructible configs are in the space")
+        const BLOCK_START: [usize; 3] = [0, 3, 9];
+        BLOCK_START[self.size.index()]
+            + LineSize::ALL.len() * self.associativity as usize
+            + self.line as usize
     }
 }
 
@@ -607,6 +621,33 @@ mod tests {
         for (i, config) in design_space().enumerate() {
             assert_eq!(config.design_space_index(), i);
         }
+        // Every configuration `new` accepts lands on its row of the
+        // enumerated space, so the arithmetic index is a bijection.
+        let mut seen = [false; DESIGN_SPACE_LEN];
+        for size in CacheSizeKb::ALL {
+            for associativity in Associativity::ALL {
+                for line in LineSize::ALL {
+                    let Ok(config) = CacheConfig::new(size, associativity, line) else {
+                        continue;
+                    };
+                    let index = config.design_space_index();
+                    assert_eq!(design_space().nth(index), Some(config), "{config}");
+                    assert!(!seen[index], "{config} shares index {index}");
+                    seen[index] = true;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every row is reachable");
+    }
+
+    #[test]
+    fn design_space_order_is_lexicographic_by_name() {
+        // Tables indexed by `design_space_index` iterate in the same order
+        // as a map keyed by the configuration's name.
+        let names: Vec<String> = design_space().map(|c| c.to_string()).collect();
+        let mut sorted = names.clone();
+        sorted.sort();
+        assert_eq!(names, sorted);
     }
 
     #[test]

@@ -22,35 +22,33 @@ use multicore_sim::{CoreId, CoreSet};
 /// assert_eq!(arch.num_cores(), 4);
 /// assert_eq!(arch.core_size(CoreId(0)), CacheSizeKb::K2);
 /// assert_eq!(arch.primary_profiling_core(), CoreId(3));
-/// assert_eq!(arch.cores_with_size(CacheSizeKb::K8), vec![CoreId(2), CoreId(3)]);
+/// let eight: Vec<CoreId> = arch.core_set(CacheSizeKb::K8).iter().collect();
+/// assert_eq!(eight, vec![CoreId(2), CoreId(3)]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Architecture {
     core_sizes: Vec<CacheSizeKb>,
     primary_profiling: CoreId,
     secondary_profiling: Option<CoreId>,
-    /// Precomputed membership masks, one per entry of [`CacheSizeKb::ALL`]:
+    /// Precomputed membership masks indexed by [`CacheSizeKb::index`]:
     /// `size_sets[i]` holds the cores whose fixed size is `ALL[i]`. Built
     /// once at construction so schedulers can intersect them with the idle
     /// mask (`CoreIndex::first_idle_in`) in O(words) per decision instead
     /// of scanning every core.
-    size_sets: Vec<CoreSet>,
+    size_sets: [CoreSet; CacheSizeKb::ALL.len()],
 }
 
-fn build_size_sets(core_sizes: &[CacheSizeKb]) -> Vec<CoreSet> {
-    CacheSizeKb::ALL
-        .iter()
-        .map(|&size| {
-            CoreSet::from_cores(
-                core_sizes.len(),
-                core_sizes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &s)| s == size)
-                    .map(|(i, _)| CoreId(i)),
-            )
-        })
-        .collect()
+fn build_size_sets(core_sizes: &[CacheSizeKb]) -> [CoreSet; CacheSizeKb::ALL.len()] {
+    CacheSizeKb::ALL.map(|size| {
+        CoreSet::from_cores(
+            core_sizes.len(),
+            core_sizes
+                .iter()
+                .enumerate()
+                .filter(|&(_, &s)| s == size)
+                .map(|(i, _)| CoreId(i)),
+        )
+    })
 }
 
 impl Architecture {
@@ -131,22 +129,14 @@ impl Architecture {
         self.core_sizes[core.0]
     }
 
-    /// Cores whose cache size equals `size`, in id order.
-    pub fn cores_with_size(&self, size: CacheSizeKb) -> Vec<CoreId> {
-        self.core_set(size).iter().collect()
-    }
-
     /// The precomputed membership mask of cores whose fixed cache size
     /// equals `size` (empty when the architecture offers none). Intersect
     /// it with the simulator's idle mask via
     /// [`CoreIndex::first_idle_in`](multicore_sim::CoreIndex::first_idle_in)
-    /// for an O(words) best-size placement probe.
+    /// for an O(words) best-size placement probe, or walk it with
+    /// [`CoreSet::iter`] for the cores in id order.
     pub fn core_set(&self, size: CacheSizeKb) -> &CoreSet {
-        let index = CacheSizeKb::ALL
-            .iter()
-            .position(|&s| s == size)
-            .expect("every CacheSizeKb variant appears in ALL");
-        &self.size_sets[index]
+        &self.size_sets[size.index()]
     }
 
     /// The size actually offered by this architecture that is closest to
@@ -155,7 +145,7 @@ impl Architecture {
     /// through this so scaled-down architectures without some size are
     /// still servable.
     pub fn nearest_available_size(&self, size: CacheSizeKb) -> CacheSizeKb {
-        if self.core_sizes.contains(&size) {
+        if !self.core_set(size).is_empty() {
             return size;
         }
         self.core_sizes
@@ -238,18 +228,19 @@ mod tests {
         assert_eq!(arch.default_config(CoreId(3)).to_string(), "8KB_1W_16B");
     }
 
-    #[test]
-    fn cores_with_size_finds_both_8kb_cores() {
-        let arch = Architecture::paper_quad();
-        assert_eq!(arch.cores_with_size(CacheSizeKb::K2), vec![CoreId(0)]);
-        assert_eq!(
-            arch.cores_with_size(CacheSizeKb::K8),
-            vec![CoreId(2), CoreId(3)]
-        );
+    fn cores_of(arch: &Architecture, size: CacheSizeKb) -> Vec<CoreId> {
+        arch.core_set(size).iter().collect()
     }
 
     #[test]
-    fn core_sets_mirror_cores_with_size() {
+    fn core_set_finds_both_8kb_cores() {
+        let arch = Architecture::paper_quad();
+        assert_eq!(cores_of(&arch, CacheSizeKb::K2), vec![CoreId(0)]);
+        assert_eq!(cores_of(&arch, CacheSizeKb::K8), vec![CoreId(2), CoreId(3)]);
+    }
+
+    #[test]
+    fn core_sets_mirror_core_sizes() {
         let arch = Architecture::new(
             vec![
                 CacheSizeKb::K2,
@@ -261,8 +252,11 @@ mod tests {
             Some(CoreId(2)),
         );
         for size in CacheSizeKb::ALL {
-            let from_set: Vec<CoreId> = arch.core_set(size).iter().collect();
-            assert_eq!(from_set, arch.cores_with_size(size));
+            let by_scan: Vec<CoreId> = arch
+                .cores()
+                .filter(|&c| arch.core_size(c) == size)
+                .collect();
+            assert_eq!(cores_of(&arch, size), by_scan);
         }
         assert!(arch.core_set(CacheSizeKb::K4).is_empty());
         assert!(arch.core_set(CacheSizeKb::K2).contains(CoreId(1)));
@@ -315,6 +309,6 @@ mod tests {
             Some(CoreId(4)),
         );
         assert_eq!(arch.num_cores(), 6);
-        assert_eq!(arch.cores_with_size(CacheSizeKb::K2).len(), 2);
+        assert_eq!(arch.core_set(CacheSizeKb::K2).len(), 2);
     }
 }

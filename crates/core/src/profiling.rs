@@ -8,12 +8,16 @@
 //! tuning heuristic to operate across multiple application executions."
 
 use crate::tuning::{TuningExplorer, TuningStatus};
-use cache_sim::{CacheConfig, CacheSizeKb};
+use cache_sim::{design_space, CacheConfig, CacheSizeKb, DESIGN_SPACE_LEN};
 use energy_model::ExecutionCost;
-use std::collections::BTreeMap;
 use workloads::{BenchmarkId, ExecutionStatistics};
 
 /// Everything the scheduler has learned about one application.
+///
+/// Explored costs live in a fixed array indexed by
+/// [`CacheConfig::design_space_index`] and tuning cursors in one indexed
+/// by [`CacheSizeKb::index`], so recording or looking up a configuration
+/// is an array access: no allocation, no hashing, no formatting.
 #[derive(Debug, Clone)]
 pub struct ProfileEntry {
     /// Hardware-counter statistics from the profiling execution in the
@@ -23,10 +27,13 @@ pub struct ProfileEntry {
     pub base_cost: ExecutionCost,
     /// The ANN's best-cache-size prediction for this application.
     pub predicted_best_size: CacheSizeKb,
-    /// Energy/performance of every configuration physically executed.
-    explored: BTreeMap<String, (CacheConfig, ExecutionCost)>,
-    /// Per-core-size tuning cursors (Figure 5 state).
-    tuners: BTreeMap<u32, TuningExplorer>,
+    /// Energy/performance of every configuration physically executed,
+    /// indexed by design-space row.
+    explored: [Option<ExecutionCost>; DESIGN_SPACE_LEN],
+    /// Number of `Some` rows in `explored`.
+    explored_count: usize,
+    /// Per-core-size tuning cursors (Figure 5 state), indexed by size.
+    tuners: [Option<TuningExplorer>; CacheSizeKb::ALL.len()],
 }
 
 impl ProfileEntry {
@@ -40,8 +47,9 @@ impl ProfileEntry {
             statistics,
             base_cost,
             predicted_best_size,
-            explored: BTreeMap::new(),
-            tuners: BTreeMap::new(),
+            explored: [None; DESIGN_SPACE_LEN],
+            explored_count: 0,
+            tuners: [None, None, None],
         }
     }
 
@@ -49,11 +57,12 @@ impl ProfileEntry {
     /// Also advances the tuning explorer for `config.size()` when that
     /// explorer asked for this configuration.
     pub fn record_execution(&mut self, config: CacheConfig, cost: ExecutionCost) {
-        self.explored.insert(config.to_string(), (config, cost));
-        let tuner = self
-            .tuners
-            .entry(config.size().kilobytes())
-            .or_insert_with(|| TuningExplorer::new(config.size()));
+        let slot = &mut self.explored[config.design_space_index()];
+        if slot.is_none() {
+            self.explored_count += 1;
+        }
+        *slot = Some(cost);
+        let tuner = self.tuner_mut(config.size());
         if let TuningStatus::Explore(wanted) = tuner.status() {
             if wanted == config {
                 tuner.record(config, cost.total_nj());
@@ -64,31 +73,33 @@ impl ProfileEntry {
     /// The stored cost of `config`, if this configuration has ever been
     /// executed.
     pub fn known_cost(&self, config: CacheConfig) -> Option<ExecutionCost> {
-        self.explored
-            .get(&config.to_string())
-            .map(|(_, cost)| *cost)
+        self.explored[config.design_space_index()]
     }
 
     /// Number of distinct configurations executed so far.
     pub fn explored_count(&self) -> usize {
-        self.explored.len()
+        self.explored_count
     }
 
-    /// Iterate over all explored `(configuration, cost)` pairs.
+    /// Iterate over all explored `(configuration, cost)` pairs in
+    /// design-space order, which is also lexicographic order of the
+    /// configurations' names (`2KB_1W_16B` < … < `8KB_4W_64B`). Callers
+    /// rely on it: the optimal system breaks `min_by` ties by it and the
+    /// stall-purity fingerprint folds entries in it.
     pub fn explored(&self) -> impl Iterator<Item = (CacheConfig, ExecutionCost)> + '_ {
-        self.explored.values().copied()
+        design_space()
+            .zip(&self.explored)
+            .filter_map(|(config, cost)| cost.map(|cost| (config, cost)))
     }
 
     /// The tuning cursor for cores of `size`, creating it on first use.
     pub fn tuner_mut(&mut self, size: CacheSizeKb) -> &mut TuningExplorer {
-        self.tuners
-            .entry(size.kilobytes())
-            .or_insert_with(|| TuningExplorer::new(size))
+        self.tuners[size.index()].get_or_insert_with(|| TuningExplorer::new(size))
     }
 
     /// The tuning cursor for cores of `size`, if exploration has begun.
     pub fn tuner(&self, size: CacheSizeKb) -> Option<&TuningExplorer> {
-        self.tuners.get(&size.kilobytes())
+        self.tuners[size.index()].as_ref()
     }
 
     /// `true` once the best configuration on cores of `size` is known
@@ -112,7 +123,7 @@ impl ProfileEntry {
 
 /// The system-wide profiling table, indexed by benchmark id (the paper:
 /// "each benchmark was assigned an identification number, which indexed
-/// into the profiling table").
+/// into the profiling table"): slot `i` holds benchmark `i`'s entry.
 ///
 /// ```
 /// use hetero_core::ProfilingTable;
@@ -123,7 +134,9 @@ impl ProfileEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ProfilingTable {
-    entries: BTreeMap<usize, ProfileEntry>,
+    entries: Vec<Option<ProfileEntry>>,
+    /// Number of `Some` slots in `entries`.
+    len: usize,
 }
 
 impl ProfilingTable {
@@ -134,40 +147,48 @@ impl ProfilingTable {
 
     /// `true` if `benchmark` has been profiled.
     pub fn contains(&self, benchmark: BenchmarkId) -> bool {
-        self.entries.contains_key(&benchmark.0)
+        self.get(benchmark).is_some()
     }
 
     /// Insert the result of a profiling execution. Returns the previous
     /// entry if the benchmark had somehow been profiled before.
     pub fn insert(&mut self, benchmark: BenchmarkId, entry: ProfileEntry) -> Option<ProfileEntry> {
-        self.entries.insert(benchmark.0, entry)
+        if benchmark.0 >= self.entries.len() {
+            self.entries.resize_with(benchmark.0 + 1, || None);
+        }
+        let previous = self.entries[benchmark.0].replace(entry);
+        if previous.is_none() {
+            self.len += 1;
+        }
+        previous
     }
 
     /// Look up a benchmark's profile.
     pub fn get(&self, benchmark: BenchmarkId) -> Option<&ProfileEntry> {
-        self.entries.get(&benchmark.0)
+        self.entries.get(benchmark.0)?.as_ref()
     }
 
     /// Mutable profile access (tuning updates).
     pub fn get_mut(&mut self, benchmark: BenchmarkId) -> Option<&mut ProfileEntry> {
-        self.entries.get_mut(&benchmark.0)
+        self.entries.get_mut(benchmark.0)?.as_mut()
     }
 
     /// Number of profiled benchmarks.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// `true` when nothing has been profiled yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Iterate over `(benchmark, entry)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (BenchmarkId, &ProfileEntry)> {
         self.entries
             .iter()
-            .map(|(&id, entry)| (BenchmarkId(id), entry))
+            .enumerate()
+            .filter_map(|(id, entry)| Some((BenchmarkId(id), entry.as_ref()?)))
     }
 }
 
@@ -260,6 +281,22 @@ mod tests {
         e.record_execution(config("8KB_1W_16B"), cost(10.0, 1));
         e.record_execution(config("8KB_2W_16B"), cost(9.0, 1));
         assert_eq!(e.explored_count(), 2);
+    }
+
+    #[test]
+    fn reinsert_replaces_without_growing() {
+        let mut table = ProfilingTable::new();
+        assert!(table.insert(BenchmarkId(2), entry()).is_none());
+        assert!(table.insert(BenchmarkId(2), entry()).is_some());
+        assert_eq!(table.len(), 1);
+        assert!(
+            !table.contains(BenchmarkId(0)),
+            "gaps below an id stay empty"
+        );
+        assert!(
+            table.get(BenchmarkId(9)).is_none(),
+            "ids past the end are absent"
+        );
     }
 
     #[test]

@@ -76,8 +76,12 @@ pub struct Shared<'a> {
     pub core_config: Vec<CacheConfig>,
     pub table: ProfilingTable,
     pub stats: SystemStats,
-    /// Pending profiling-table updates keyed by job sequence number.
-    pub pending: HashMap<u64, Pending>,
+    /// Pending profiling-table update of the execution on each core, with
+    /// its job sequence number, indexed by core. Every launch ends in
+    /// `complete` or `abort` on its own core; a preemption probe is the
+    /// one interleaving, placing the urgent job before the victim's
+    /// `on_preempt` arrives (see [`launch`](Self::launch)).
+    pub pending: Vec<Option<(u64, Pending)>>,
     /// Occupancy records keyed by core index.
     pub running: Vec<Option<Running>>,
     /// Benchmarks whose profiling execution is in flight: further
@@ -96,7 +100,7 @@ impl<'a> Shared<'a> {
             core_config,
             table: ProfilingTable::new(),
             stats: SystemStats::default(),
-            pending: HashMap::new(),
+            pending: vec![None; arch.num_cores()],
             running: vec![None; arch.num_cores()],
             profiling_in_flight: HashMap::new(),
         }
@@ -110,6 +114,11 @@ impl<'a> Shared<'a> {
     /// Launch `job` on `core` in `config`, registering all bookkeeping.
     /// The execution's true cost comes from the oracle — this is the
     /// physical act of running the job.
+    ///
+    /// A granted preemption probe launches onto the victim's core before
+    /// the victim's `on_preempt`; the victim's pending record is retired
+    /// here (as [`abort`](Self::abort) would) and its late `abort` then
+    /// finds the slot owned by another job and leaves it alone.
     pub fn launch(
         &mut self,
         job: &Job,
@@ -120,7 +129,9 @@ impl<'a> Shared<'a> {
         let cost = self.oracle.cost(job.benchmark, config);
         self.core_config[core.0] = config;
         self.running[core.0] = Some(Running { cost });
-        self.pending.insert(job.seq, pending);
+        if let Some((_, displaced)) = self.pending[core.0].replace((job.seq, pending)) {
+            self.retire_aborted(displaced);
+        }
         if let Pending::Profile { benchmark } = pending {
             self.profiling_in_flight.insert(benchmark, job.seq);
             self.stats.profiling_runs += 1;
@@ -142,9 +153,9 @@ impl<'a> Shared<'a> {
         if self.profiling_in_flight.contains_key(&job.benchmark) {
             return Decision::Stall;
         }
-        let mut candidates = vec![self.arch.primary_profiling_core()];
-        candidates.extend(self.arch.secondary_profiling_core());
-        for core in candidates {
+        let primary = self.arch.primary_profiling_core();
+        let secondary = self.arch.secondary_profiling_core();
+        for core in std::iter::once(primary).chain(secondary) {
             if cores.is_idle(core) {
                 return self.launch(
                     job,
@@ -169,7 +180,7 @@ impl<'a> Shared<'a> {
         predict: impl FnOnce(&Self) -> CacheSizeKb,
     ) {
         self.running[core.0] = None;
-        match self.pending.remove(&job.seq) {
+        match self.take_pending(job, core) {
             Some(Pending::Profile { benchmark }) => {
                 self.profiling_in_flight.remove(&benchmark);
                 let statistics = self.oracle.execution_statistics(benchmark);
@@ -195,7 +206,22 @@ impl<'a> Shared<'a> {
     /// un-marked so the benchmark can be profiled again.
     pub fn abort(&mut self, job: &Job, core: CoreId) {
         self.running[core.0] = None;
-        if let Some(Pending::Profile { benchmark }) = self.pending.remove(&job.seq) {
+        if let Some(pending) = self.take_pending(job, core) {
+            self.retire_aborted(pending);
+        }
+    }
+
+    /// Take `core`'s pending record if it belongs to `job`.
+    fn take_pending(&mut self, job: &Job, core: CoreId) -> Option<Pending> {
+        self.pending[core.0]
+            .take_if(|(seq, _)| *seq == job.seq)
+            .map(|(_, pending)| pending)
+    }
+
+    /// Drop the record of an execution that never completed; an
+    /// interrupted profiling execution is un-marked.
+    fn retire_aborted(&mut self, pending: Pending) {
+        if let Pending::Profile { benchmark } = pending {
             self.profiling_in_flight.remove(&benchmark);
             // The energy was (partially) spent but the statistics were
             // lost; keep profiling_runs/energy as-charged counters of
@@ -214,8 +240,8 @@ impl<'a> Shared<'a> {
     /// for the stall-purity checker: two `Shared` values that differ in any
     /// decision-relevant field must fingerprint differently.
     ///
-    /// `HashMap` fields are folded order-independently (XOR of per-entry
-    /// sub-digests); `BTreeMap`-backed state iterates deterministically.
+    /// The `HashMap` field is folded order-independently (XOR of
+    /// per-entry sub-digests); indexed state iterates in index order.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
         fp.write_u64(self.stats.profiling_runs);
@@ -239,24 +265,22 @@ impl<'a> Shared<'a> {
                 None => fp.write_u64(0),
             }
         }
-        let mut pending_digest = 0u64;
-        for (&seq, pending) in &self.pending {
-            let mut sub = Fingerprint::new();
-            sub.write_u64(seq);
-            match pending {
-                Pending::Profile { benchmark } => {
-                    sub.write_u64(1);
-                    sub.write_usize(benchmark.0);
+        for slot in &self.pending {
+            match slot {
+                None => fp.write_u64(0),
+                Some((seq, Pending::Profile { benchmark })) => {
+                    fp.write_u64(1);
+                    fp.write_u64(*seq);
+                    fp.write_usize(benchmark.0);
                 }
-                Pending::Execution { benchmark, config } => {
-                    sub.write_u64(2);
-                    sub.write_usize(benchmark.0);
-                    sub.write_usize(config.design_space_index());
+                Some((seq, Pending::Execution { benchmark, config })) => {
+                    fp.write_u64(2);
+                    fp.write_u64(*seq);
+                    fp.write_usize(benchmark.0);
+                    fp.write_usize(config.design_space_index());
                 }
             }
-            pending_digest ^= sub.finish();
         }
-        fp.write_u64(pending_digest);
         let mut in_flight_digest = 0u64;
         for (&benchmark, &seq) in &self.profiling_in_flight {
             let mut sub = Fingerprint::new();
@@ -361,7 +385,7 @@ mod tests {
         }
         assert!(shared.running[0].is_some());
         assert_eq!(shared.core_config[0], config);
-        assert!(shared.pending.contains_key(&0));
+        assert_eq!(shared.pending[0].map(|(seq, _)| seq), Some(0));
     }
 
     #[test]
@@ -433,6 +457,38 @@ mod tests {
             shared.try_profile(&again, &all_idle(4)),
             Decision::Run { .. }
         ));
+    }
+
+    #[test]
+    fn probe_launch_retires_the_victims_pending_record() {
+        // A granted preemption probe launches the urgent job onto the
+        // victim's core before the victim's `on_preempt` arrives.
+        let (arch, oracle, model) = fixture();
+        let mut shared = Shared::new(arch, oracle, model);
+        let victim = job(0, 4);
+        let _ = shared.try_profile(&victim, &all_idle(4));
+        let urgent = job(1, 5);
+        let _ = shared.launch(
+            &urgent,
+            CoreId(3),
+            BASE_CONFIG,
+            Pending::Execution {
+                benchmark: urgent.benchmark,
+                config: BASE_CONFIG,
+            },
+        );
+        assert!(
+            !shared.profiling_in_flight.contains_key(&BenchmarkId(4)),
+            "the displaced profile is un-marked"
+        );
+        shared.abort(&victim, CoreId(3));
+        assert_eq!(
+            shared.pending[3].map(|(seq, _)| seq),
+            Some(1),
+            "the victim's late abort leaves the urgent job's record alone"
+        );
+        shared.complete(&urgent, CoreId(3), |_| unreachable!("not a profile"));
+        assert_eq!(shared.pending[3], None);
     }
 
     #[test]

@@ -137,10 +137,9 @@ impl Scheduler for EnergyCentricSystem<'_> {
 
         let shared = &mut self.shared;
 
-        if !shared.table.contains(job.benchmark) {
+        let Some(entry) = shared.table.get(job.benchmark) else {
             return shared.try_profile(job, cores);
-        }
-        let entry = shared.table.get(job.benchmark).expect("checked above");
+        };
         let best_size = shared
             .arch
             .nearest_available_size(entry.predicted_best_size);
@@ -156,7 +155,7 @@ impl Scheduler for EnergyCentricSystem<'_> {
         let config = match entry.best_known_for_size(best_size) {
             Some((config, _)) => config,
             None => {
-                let entry = shared.table.get_mut(job.benchmark).expect("checked above");
+                let entry = shared.table.get_mut(job.benchmark).expect("profiled");
                 match entry.tuner_mut(best_size).status() {
                     TuningStatus::Explore(config) => {
                         shared.stats.tuning_runs += 1;

@@ -11,7 +11,8 @@ use crate::ProfilingTable;
 use cache_sim::{CacheConfig, BASE_CONFIG};
 use energy_model::{EnergyModel, ExecutionCost};
 use multicore_sim::{
-    CoreId, CoreIndex, Decision, FaultPlan, Job, PredictorHealth, Scheduler, ServingTier, TierCell,
+    CoreId, CoreIndex, CoreSet, Decision, FaultPlan, Job, PredictorHealth, Scheduler, ServingTier,
+    TierCell,
 };
 
 /// The paper's proposed scheduler (Figure 2):
@@ -208,15 +209,14 @@ impl<'a> ProposedSystem<'a> {
     }
 }
 
-/// The best-core occupant with the earliest release, for the
-/// remaining-cycles estimate.
-fn earliest_release(best_cores: &[CoreId], cores: &CoreIndex, now: u64) -> Option<(u64, f64)> {
+/// Cycles until the earliest best-core occupant releases its core, for
+/// the remaining-cycles estimate.
+fn earliest_release(best_cores: &CoreSet, cores: &CoreIndex, now: u64) -> Option<u64> {
     best_cores
         .iter()
-        .filter_map(|&c| cores.view(c).busy)
+        .filter_map(|c| cores.view(c).busy)
         .map(|busy| busy.busy_until.saturating_sub(now))
         .min()
-        .map(|remaining| (remaining, 0.0))
 }
 
 impl Scheduler for ProposedSystem<'_> {
@@ -231,34 +231,29 @@ impl Scheduler for ProposedSystem<'_> {
         }
 
         // Phase 1: profiling (Figure 2, "profiling information?" == no).
-        if !self.shared.table.contains(job.benchmark) {
+        let Some(entry) = self.shared.table.get(job.benchmark) else {
             return self.shared.try_profile(job, cores);
-        }
-
-        let entry = self.shared.table.get(job.benchmark).expect("profiled");
-        let best_size = self
-            .shared
-            .arch
-            .nearest_available_size(entry.predicted_best_size);
-        let best_cores = self.shared.arch.cores_with_size(best_size);
+        };
+        let arch = self.shared.arch;
+        let best_size = arch.nearest_available_size(entry.predicted_best_size);
+        let best_cores = arch.core_set(best_size);
 
         // Phase 2: the best core is idle — schedule there (one masked
         // trailing-zeros scan over the size set ∩ idle words).
-        if let Some(core) = cores.first_idle_in(self.shared.arch.core_set(best_size)) {
+        if let Some(core) = cores.first_idle_in(best_cores) {
             return self.run_with_tuning(job, core);
         }
 
         // The best core is busy. Candidates are all idle (non-best) cores.
-        let idle: Vec<CoreId> = cores.idle_cores().collect();
-        if idle.is_empty() {
+        if cores.idle_count() == 0 {
             return Decision::Stall;
         }
 
         // Phase 3: any idle core with an unknown best configuration gets
         // the job (information gathering; one tuning step executes there).
-        if let Some(&core) = idle
-            .iter()
-            .find(|&&c| !entry.is_tuned(self.shared.arch.core_size(c)))
+        if let Some(core) = cores
+            .idle_cores()
+            .find(|&c| !entry.is_tuned(arch.core_size(c)))
         {
             return self.run_with_tuning(job, core);
         }
@@ -273,14 +268,14 @@ impl Scheduler for ProposedSystem<'_> {
         let Some((_, b_on_best)) = entry.best_known_for_size(best_size) else {
             return Decision::Stall;
         };
-        let Some((remaining, _)) = earliest_release(&best_cores, cores, now) else {
+        let Some(remaining) = earliest_release(best_cores, cores, now) else {
             return Decision::Stall; // no busy best core found (defensive)
         };
 
         // Occupant's average energy per cycle, from our own launch records.
         let occupant_rate = best_cores
             .iter()
-            .filter_map(|&c| self.shared.running[c.0])
+            .filter_map(|c| self.shared.running[c.0])
             .map(|r| r.cost.total_nj() / r.cost.cycles.max(1) as f64)
             .next()
             .unwrap_or(0.0);
@@ -291,8 +286,8 @@ impl Scheduler for ProposedSystem<'_> {
         // state untouched per the Scheduler contract.
         let mut evaluated = 0u64;
         let mut chosen: Option<(CoreId, CacheConfig, ExecutionCost)> = None;
-        for &candidate in &idle {
-            let size = self.shared.arch.core_size(candidate);
+        for candidate in cores.idle_cores() {
+            let size = arch.core_size(candidate);
             let Some((config, b_on_candidate)) = entry.best_known_for_size(size) else {
                 continue;
             };
