@@ -63,8 +63,8 @@ use hetero_core::{
     ProposedSystem, SuiteOracle, SystemStats,
 };
 use hetero_engine::{
-    run_streaming_governed, run_streaming_observed, BrownoutConfig, EngineConfig, GovernorHandle,
-    ObserveConfig, OverloadConfig, ShedPolicy, SloPolicy,
+    run_streaming_observed, BrownoutConfig, EngineConfig, GovernorHandle, ObserveConfig,
+    OverloadConfig, ShedPolicy, SloPolicy,
 };
 use hetero_telemetry::{AlertState, BurnRateRule, Histogram};
 use multicore_sim::{
@@ -572,12 +572,13 @@ fn overload_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
         let cell = tier_cell();
         let mut system =
             overload_system(testbed, system_index, Some(cell.clone()), student.as_ref());
-        let outcome = run_streaming_governed(
+        let outcome = run_streaming_observed(
             &sim,
             arrivals.iter().copied(),
             &mut *system,
             &engine_config,
             &overload,
+            &ObserveConfig::disabled(),
             Some(cell),
         );
         let report = &outcome.overload;

@@ -51,6 +51,10 @@
 //!   Perfetto artifact through the in-repo JSON parser; exits non-zero
 //!   on any miss (used by `scripts/check.sh`).
 //!
+//! Every run prints its host wall-clock split to stderr: testbed setup
+//! seconds, stream seconds and streamed jobs per wall second (stdout
+//! stays deterministic).
+//!
 //! `engine compare` diffs two exported artifacts system-by-system and
 //! flags regressions in throughput, p99 latency, and energy per job.
 
@@ -59,12 +63,13 @@ use hetero_bench::perfetto::{perfetto_document, validate_perfetto};
 use hetero_bench::Testbed;
 use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
 use hetero_engine::{
-    export, run_streaming, run_streaming_governed, BrownoutConfig, EngineConfig, EngineReport,
+    export, run_streaming, run_streaming_observed, BrownoutConfig, EngineConfig, EngineReport,
     ObserveConfig, ObservedSink, OverloadConfig, ShedPolicy, SloPolicy, StreamOutcome,
 };
 use hetero_telemetry::BurnRateRule;
 use multicore_sim::{tier_cell, Scheduler, ServingTier, Simulator};
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 use workloads::{Arrival, Compose, OpenLoop};
 
 /// `(flag value, display name)` in the paper's presentation order.
@@ -253,66 +258,34 @@ fn arrivals(
 
 /// Serve `system_index` (paper presentation order) from the stream.
 fn serve(testbed: &Testbed, system_index: usize, options: &Options) -> StreamOutcome {
-    fn go<S: Scheduler>(
-        mut system: S,
-        num_cores: usize,
-        options: &Options,
-        num_benchmarks: usize,
-    ) -> StreamOutcome {
-        let config = EngineConfig {
-            slo: options.policy(),
-            ..EngineConfig::default()
-        };
-        let stream = arrivals(
-            &options.process,
-            options.rate,
-            num_benchmarks,
-            options.seed,
-            options.jobs,
-        )
-        .expect("validated before the run started");
-        run_streaming(&Simulator::new(num_cores), stream, &mut system, &config)
-    }
+    let config = EngineConfig {
+        slo: options.policy(),
+        ..EngineConfig::default()
+    };
+    let stream = arrivals(
+        &options.process,
+        options.rate,
+        testbed.suite.len(),
+        options.seed,
+        options.jobs,
+    )
+    .expect("validated before the run started");
+    let mut system = boxed_system(testbed, system_index);
+    let simulator = Simulator::new(testbed.arch.num_cores());
+    run_streaming(&simulator, stream, &mut *system, &config)
+}
 
-    let num_cores = testbed.arch.num_cores();
-    let num_benchmarks = testbed.suite.len();
-    let model = testbed.model;
-    match system_index {
-        0 => go(
-            BaseSystem::new(&testbed.oracle, model, num_cores),
-            num_cores,
-            options,
-            num_benchmarks,
-        ),
-        1 => go(
-            OptimalSystem::new(&testbed.arch, &testbed.oracle, model),
-            num_cores,
-            options,
-            num_benchmarks,
-        ),
-        2 => go(
-            EnergyCentricSystem::new(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            ),
-            num_cores,
-            options,
-            num_benchmarks,
-        ),
-        _ => go(
-            ProposedSystem::with_model(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            ),
-            num_cores,
-            options,
-            num_benchmarks,
-        ),
-    }
+/// Print the host wall-clock split of a run: testbed setup, streaming,
+/// and streamed jobs per wall second. Goes to stderr, so stdout stays
+/// byte-identical across runs and thread counts.
+fn print_wall_time(setup: Duration, stream: Duration, jobs: u64) {
+    let stream_s = stream.as_secs_f64();
+    eprintln!(
+        "wall: setup {:.3} s, stream {:.3} s, {:.0} jobs/s ({jobs} jobs)",
+        setup.as_secs_f64(),
+        stream_s,
+        jobs as f64 / stream_s.max(f64::MIN_POSITIVE),
+    );
 }
 
 fn report_to_json(name: &str, report: &EngineReport) -> Json {
@@ -524,12 +497,13 @@ fn overload_smoke() -> ExitCode {
         testbed.predictor.clone(),
     )
     .with_serving_tier(cell.clone(), None);
-    let outcome = run_streaming_governed(
+    let outcome = run_streaming_observed(
         &Simulator::new(num_cores),
         stream,
         &mut system,
         &config,
         &overload,
+        &ObserveConfig::disabled(),
         Some(cell),
     );
     let report = &outcome.overload;
@@ -604,8 +578,8 @@ fn overload_smoke() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One scheduling system as a trait object, for the single-system
-/// observed path (the fan-out path stays monomorphised).
+/// One scheduling system as a trait object (the simulator takes
+/// `&mut dyn Scheduler`, so nothing is gained by monomorphising).
 fn boxed_system<'t>(testbed: &'t Testbed, system_index: usize) -> Box<dyn Scheduler + 't> {
     let num_cores = testbed.arch.num_cores();
     match system_index {
@@ -636,11 +610,13 @@ fn boxed_system<'t>(testbed: &'t Testbed, system_index: usize) -> Box<dyn Schedu
 /// budget, and (with `--perfetto`) causal spans written out as a
 /// Chrome trace-event artifact.
 fn observed_run(options: &Options) -> ExitCode {
+    let setup = Instant::now();
     let testbed = if options.smoke {
         Testbed::small()
     } else {
         Testbed::paper()
     };
+    let setup = setup.elapsed();
     let system_index = match options.system.as_str() {
         "all" => {
             println!("(--serve/--perfetto observe one system; defaulting to proposed)");
@@ -677,18 +653,19 @@ fn observed_run(options: &Options) -> ExitCode {
     )
     .expect("validated before the run started");
     let mut system = boxed_system(&testbed, system_index);
+    let started = Instant::now();
     let metrics = Simulator::new(num_cores).run_stream(stream, &mut *system, &mut plane);
+    print_wall_time(setup, started.elapsed(), metrics.jobs_completed);
 
     if options.serve.is_some() && options.linger > 0.0 {
         println!(
             "run complete; serving the final state for another {:.1}s",
             options.linger
         );
-        let deadline =
-            std::time::Instant::now() + std::time::Duration::from_secs_f64(options.linger);
-        while std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + Duration::from_secs_f64(options.linger);
+        while Instant::now() < deadline {
             plane.poll_server();
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
     let outcome = plane.finish(&config);
@@ -961,17 +938,22 @@ fn main() -> ExitCode {
         "engine: {} x {} jobs, {} arrivals at ~{} jobs/Mcycle, seed {}",
         options.system, options.jobs, options.process, options.rate, options.seed
     );
+    let setup = Instant::now();
     let testbed = if options.smoke {
         Testbed::small()
     } else {
         Testbed::paper()
     };
+    let setup = setup.elapsed();
 
     let system_indices = options.systems();
+    let started = Instant::now();
     let outcomes =
         hetero_parallel::map_indexed(system_indices.len(), hetero_parallel::worker_count(), |i| {
             serve(&testbed, system_indices[i], &options)
         });
+    let served = outcomes.iter().map(|o| o.metrics.jobs_completed).sum();
+    print_wall_time(setup, started.elapsed(), served);
 
     let mut failures = 0u32;
     let mut rows: Vec<Json> = Vec::new();

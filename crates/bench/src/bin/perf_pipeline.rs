@@ -27,11 +27,11 @@
 //! (CLI-overridable threshold). Three further
 //! gated stages guard instrumentation layers instead of optimisations,
 //! each with a fixed ratio bar regardless of the CLI threshold:
-//! `sim_trace_overhead` (the `NullSink` build of the traced simulator
-//! loop vs the verbatim untraced reference loop,
-//! `Simulator::run_reference`) and `sim_fault_overhead` (the
-//! fault-injection loop with an empty `FaultPlan` vs the same
-//! reference) — both must stay within 2% — and `sim_metrics_overhead`
+//! `sim_trace_overhead` (the `NullSink` build of the simulator's one
+//! event loop vs the retained linear-scan reference loop,
+//! `Simulator::run_reference`) and `sim_fault_overhead` (the same loop
+//! entered through `run_with_faults` with an empty `FaultPlan` vs the
+//! same reference) — both must stay within 2% — and `sim_metrics_overhead`
 //! (the traced loop feeding a live `hetero_telemetry::MetricsSink`,
 //! which folds every event into time-series windows and histograms,
 //! gated at 0.55x of the untraced loop). A seventh gated stage,
@@ -149,8 +149,9 @@ const DISTILL_MIN_SPEEDUP: f64 = 8.0;
 const STREAM_RSS_BUDGET_MB: f64 = 128.0;
 
 /// `engine_overload` is a no-regression bar on the governed streaming
-/// path: `run_streaming_governed` with an *enabled* governor whose
-/// limits are wide enough that nothing sheds and no tier steps, against
+/// path: `run_streaming_observed` with an *enabled* governor whose
+/// limits are wide enough that nothing sheds and no tier steps (and the
+/// observability plane disabled), against
 /// plain `run_streaming` on the same open-loop stream. The governor
 /// still pays its real quiescent costs (admission bookkeeping,
 /// in-flight tracking, control-window folds on every completion), so
@@ -644,9 +645,9 @@ fn measure_sched_proposed(iters: u32) -> Stage {
     }
 }
 
-/// The flight-recorder no-regression stage: `Simulator::run` (traced
-/// loop, `NullSink`) against `Simulator::run_reference` (verbatim
-/// pre-trace loop) on an arrival-dense preemptive workload. Both sides
+/// The flight-recorder no-regression stage: `Simulator::run` (the one
+/// event loop, `NullSink`) against `Simulator::run_reference` (the
+/// linear-scan oracle loop) on an arrival-dense preemptive workload. Both sides
 /// produce bit-identical metrics (property-tested); here only their cost
 /// is compared.
 fn measure_trace_overhead(iters: u32) -> Stage {
@@ -668,8 +669,8 @@ fn measure_trace_overhead(iters: u32) -> Stage {
 }
 
 /// The fault-injection no-regression stage: `Simulator::run_with_faults`
-/// with an *empty* fault plan (every fault branch a no-op) against the
-/// verbatim untraced reference loop. The two are bit-identical in result
+/// with an *empty* fault plan (the quiet build: every fault branch
+/// compiled out) against the linear-scan reference loop. The two are bit-identical in result
 /// (property-tested); this stage pins the no-fault cost of the fault
 /// hooks to within the same 2% bar as the flight recorder.
 fn measure_fault_overhead(iters: u32) -> Stage {
@@ -826,8 +827,8 @@ fn measure_engine_stream(iters: u32) -> Stage {
 /// over the same deterministic open-loop stream served by the paper's
 /// proposed system (predictor-driven placement — the engine the
 /// overload governor actually deploys on) — ungoverned `run_streaming`
-/// as the reference, `run_streaming_governed` with a quiescent
-/// governor as the fused side. The governor is *enabled* (bounded queue, drop-tail policy,
+/// as the reference, `run_streaming_observed` with a quiescent
+/// governor and the plane disabled as the fused side. The governor is *enabled* (bounded queue, drop-tail policy,
 /// live brownout controller), but every limit sits far above what the
 /// run reaches, so nothing sheds and no tier steps; the measurement
 /// captures the pure bookkeeping cost riding on every arrival and
@@ -879,12 +880,13 @@ fn measure_engine_overload(iters: u32) -> Stage {
         },
         "engine_stream_governed",
         || {
-            let outcome = hetero_engine::run_streaming_governed(
+            let outcome = hetero_engine::run_streaming_observed(
                 &sim,
                 stream(),
                 &mut system(),
                 &config,
                 &overload,
+                &hetero_engine::ObserveConfig::disabled(),
                 None,
             );
             assert_eq!(

@@ -199,9 +199,10 @@ proptest! {
     }
 
     /// A disabled overload governor is bit-invisible on every system and
-    /// discipline: `run_streaming_governed` with `OverloadConfig::disabled()`
-    /// returns the exact batch `RunMetrics` (no admission decision, no
-    /// tier change, no shed — the wrapped sink is pure pass-through).
+    /// discipline: `run_streaming_observed` with `OverloadConfig::disabled()`
+    /// and the observability plane disabled returns the exact batch
+    /// `RunMetrics` (no admission decision, no tier change, no shed — the
+    /// wrapped sinks are pure pass-through).
     #[test]
     fn disabled_governor_is_bit_invisible_on_every_system(
         system_index in 0usize..4,
@@ -220,12 +221,13 @@ proptest! {
         ) -> (RunMetrics, RunMetrics, hetero_engine::OverloadReport) {
             let sim = Simulator::new(testbed().arch.num_cores()).with_discipline(discipline);
             let batch = sim.run(plan, &mut build());
-            let outcome = hetero_engine::run_streaming_governed(
+            let outcome = hetero_engine::run_streaming_observed(
                 &sim,
                 plan.iter().copied(),
                 &mut build(),
                 &engine_config(),
                 &OverloadConfig::disabled(),
+                &hetero_engine::ObserveConfig::disabled(),
                 None,
             );
             (batch, outcome.metrics, outcome.overload)

@@ -115,7 +115,9 @@ proptest! {
     }
 
     /// Contract 2: spans conserve the run and the Perfetto artifact
-    /// validates and round-trips through the in-repo JSON parser.
+    /// validates and round-trips through the in-repo JSON parser. The
+    /// armed plane, unlike the disabled one, runs its `ObservedSink`
+    /// layer, so this is also where that layer is shown bit-invisible.
     #[test]
     fn spans_conserve_and_the_perfetto_export_round_trips(
         system_index in 0usize..4,
@@ -131,6 +133,7 @@ proptest! {
             assemble_spans: true,
             ..ObserveConfig::disabled()
         };
+        let batch = with_system(system_index, |scheduler| sim.run(&plan, scheduler));
         let outcome = with_system(system_index, |scheduler| {
             run_streaming_observed(
                 &sim,
@@ -142,6 +145,7 @@ proptest! {
                 None,
             )
         });
+        assert_bit_identical(&batch, &outcome.metrics);
         let spans = outcome.spans.as_ref().expect("spans were assembled");
         prop_assert_eq!(spans.arrivals(), jobs as u64);
         prop_assert_eq!(spans.completed(), jobs as u64);

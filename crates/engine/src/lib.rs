@@ -23,17 +23,19 @@
 //! ([`export`]) feeding the `engine` bin's JSON artifact and
 //! `engine compare` diff.
 //!
-//! **Fidelity:** the streaming path reuses the batch event loop verbatim
-//! ([`Simulator::run_stream`](multicore_sim::Simulator::run_stream) is
-//! the same body `run_with_sink` delegates to), so a streamed run over a
+//! **Fidelity:** the simulator has one event loop, and
+//! [`Simulator::run_stream`](multicore_sim::Simulator::run_stream) and the
+//! batch `run_with_sink` both drive it, so a streamed run over a
 //! pre-materialised plan returns `RunMetrics` bit-identical to the batch
 //! driver — property-tested in `crates/bench/tests/engine_properties.rs`.
 //!
 //! See DESIGN.md §14 for the architecture.
 
-//! On top of the governed run sits a *live observability plane*
-//! ([`observe`]): per-job causal spans assembled for Perfetto export,
-//! an SLO burn-rate alert engine that can engage a serving-tier floor,
+//! The engine has two entry points: [`run_streaming`] (plain) and
+//! [`run_streaming_observed`], which adds the [`overload`] governor and the
+//! *live observability plane* ([`observe`]); each is bit-invisible under
+//! its `disabled()` config. The plane offers per-job causal spans
+//! assembled for Perfetto export, an SLO burn-rate alert engine that can engage a serving-tier floor,
 //! and a std-only HTTP scrape endpoint ([`serve`]) answering
 //! `/metrics`, `/health` and `/snapshot` during the run. See DESIGN.md
 //! §16.
@@ -53,9 +55,8 @@ pub use observe::{
     ObservedSink,
 };
 pub use overload::{
-    run_streaming_governed, AdmissionGate, BreakerConfig, BreakerState, BrownoutConfig,
-    GovernedOutcome, GovernorHandle, OverloadConfig, OverloadReport, OverloadSink, ShedPolicy,
-    TokenBucketConfig,
+    AdmissionGate, BreakerConfig, BreakerState, BrownoutConfig, GovernorHandle, OverloadConfig,
+    OverloadReport, OverloadSink, ShedPolicy, TokenBucketConfig,
 };
 pub use serve::{Response, ScrapeServer, ServeStats};
 pub use slo::{SloCheck, SloPolicy, SloReport};

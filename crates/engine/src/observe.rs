@@ -2,11 +2,14 @@
 //! assembly, and the HTTP scrape endpoint, wired around a governed
 //! streaming run.
 //!
-//! [`run_streaming_observed`] is [`run_streaming_governed`] plus an
-//! [`ObservedSink`] between the overload governor and the
-//! [`EngineSink`]: every forwarded event still lands in the engine sink
-//! first (identical folding, so a fully disabled plane is bit-invisible
-//! — property-tested in `crates/bench`), and then, when enabled,
+//! [`run_streaming_observed`] is the engine's governed entry point (the
+//! other is the plain [`run_streaming`](crate::run_streaming)): the
+//! overload governor wraps the arrival stream and the event stream, and
+//! an [`ObservedSink`] sits between the governor and the
+//! [`EngineSink`] (a disabled plane skips that layer). Every forwarded
+//! event still lands in the engine sink first (identical folding, so the
+//! plane is bit-invisible — property-tested in `crates/bench`), and
+//! then, when enabled,
 //!
 //! * a [`BurnEngine`] folds completions into multi-window SLO burn
 //!   rates, with `pending → firing → resolved` transitions recorded as
@@ -25,7 +28,7 @@
 //! See DESIGN.md §16 for the architecture and the burn-rate math.
 
 use crate::engine::{EngineConfig, EngineReport, EngineSink};
-use crate::overload::{GovernorHandle, OverloadConfig, OverloadReport};
+use crate::overload::{AdmissionGate, GovernorHandle, OverloadConfig, OverloadReport};
 use crate::serve::{Response, ScrapeServer, ServeStats};
 use hetero_telemetry::{AlertState, AlertTransition, BurnEngine, BurnRateRule, SpanAssembler};
 use multicore_sim::{
@@ -434,10 +437,19 @@ fn json_escape(text: &str) -> String {
         .collect()
 }
 
-/// [`run_streaming_governed`](crate::run_streaming_governed) with the
-/// observability plane attached. With [`ObserveConfig::disabled`] the
-/// run is bit-identical to the governed (and, with
-/// [`OverloadConfig::disabled`], the plain streaming) run.
+/// [`run_streaming`](crate::run_streaming) under an overload governor,
+/// with the observability plane attached: arrivals pass through an
+/// [`AdmissionGate`](crate::AdmissionGate), the event stream through an
+/// [`OverloadSink`](crate::OverloadSink) and an [`ObservedSink`], and the
+/// outcome carries an [`OverloadReport`] and the plane's results next to
+/// the usual engine report.
+///
+/// With [`ObserveConfig::disabled`] and [`OverloadConfig::disabled`] the
+/// run is bit-identical to [`run_streaming`](crate::run_streaming)
+/// (identical `RunMetrics`, identical event stream — property-tested,
+/// and gated by the chaos drill including ledgers). With the plane
+/// disabled alone, it is the governed run, and no [`ObservedSink`] is
+/// layered in at all.
 ///
 /// `tier` is the serving-tier cell shared with the scheduling system;
 /// when `None` and either a brownout or an alert floor is configured, a
@@ -464,12 +476,13 @@ where
         observe,
         Some(governor.clone()),
     );
-    let metrics = {
-        let mut wrapped = governor.sink(&mut plane);
-        let metrics =
-            simulator.run_stream(governor.gate(arrivals.into_iter()), scheduler, &mut wrapped);
-        wrapped.finish();
-        metrics
+    let arrivals = governor.gate(arrivals.into_iter());
+    // A disabled plane is bit-invisible, so a governed-only run skips its
+    // layer and the governor feeds the engine sink directly.
+    let metrics = if observe.enabled() {
+        governed_run(simulator, arrivals, scheduler, &governor, &mut plane)
+    } else {
+        governed_run(simulator, arrivals, scheduler, &governor, &mut plane.engine)
     };
     let plane = plane.finish(config);
     ObservedOutcome {
@@ -481,6 +494,21 @@ where
         serve_stats: plane.serve_stats,
         server: plane.server,
     }
+}
+
+/// Stream the gated `arrivals` with the governor's sink wrapped around
+/// `sink`, flushing the governor's buffered sheds at the horizon.
+fn governed_run<I: Iterator<Item = Arrival>, T: TraceSink>(
+    simulator: &Simulator,
+    arrivals: AdmissionGate<I>,
+    scheduler: &mut dyn Scheduler,
+    governor: &GovernorHandle,
+    sink: &mut T,
+) -> RunMetrics {
+    let mut wrapped = governor.sink(sink);
+    let metrics = simulator.run_stream(arrivals, scheduler, &mut wrapped);
+    wrapped.finish();
+    metrics
 }
 
 #[cfg(test)]

@@ -35,11 +35,7 @@
 //!
 //! See DESIGN.md §15 for the full architecture.
 
-use crate::engine::{run_streaming, EngineConfig, EngineReport, EngineSink, StreamOutcome};
-use multicore_sim::{
-    tier_cell, RunMetrics, Scheduler, ServingTier, ShedReason, Simulator, TierCell, TraceEvent,
-    TraceSink,
-};
+use multicore_sim::{ServingTier, ShedReason, TierCell, TraceEvent, TraceSink};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use workloads::Arrival;
@@ -916,92 +912,15 @@ impl OverloadReport {
     }
 }
 
-/// The result of [`run_streaming_governed`].
-#[derive(Debug, Clone)]
-pub struct GovernedOutcome {
-    /// Bit-exact run metrics over the *admitted* stream.
-    pub metrics: RunMetrics,
-    /// Snapshots, histograms, totals, and the SLO verdict.
-    pub report: EngineReport,
-    /// What the governor admitted, shed, and degraded.
-    pub overload: OverloadReport,
-}
-
-/// [`run_streaming`] under an overload governor: arrivals pass through
-/// an [`AdmissionGate`], the event stream through an [`OverloadSink`],
-/// and the outcome carries an [`OverloadReport`] next to the usual
-/// engine report.
-///
-/// With [`OverloadConfig::disabled`] the run is bit-identical to
-/// [`run_streaming`] (identical `RunMetrics`, identical event stream —
-/// property-tested, and gated by the chaos drill including ledgers).
-///
-/// `tier` is the serving-tier cell shared with the scheduling system;
-/// when `None` and a brownout is configured, a private cell is used so
-/// dwell accounting still works (nothing reads it).
-pub fn run_streaming_governed<I>(
-    simulator: &Simulator,
-    arrivals: I,
-    scheduler: &mut dyn Scheduler,
-    config: &EngineConfig,
-    overload: &OverloadConfig,
-    tier: Option<TierCell>,
-) -> GovernedOutcome
-where
-    I: IntoIterator<Item = Arrival>,
-{
-    let cell = tier.or_else(|| overload.brownout.map(|_| tier_cell()));
-    let governor = GovernorHandle::new(overload, simulator.num_cores(), cell);
-    let mut sink = EngineSink::new(simulator.num_cores(), config);
-    let metrics = {
-        let mut wrapped = governor.sink(&mut sink);
-        let metrics =
-            simulator.run_stream(governor.gate(arrivals.into_iter()), scheduler, &mut wrapped);
-        wrapped.finish();
-        metrics
-    };
-    let report = sink.finish(&config.slo);
-    GovernedOutcome {
-        metrics,
-        report,
-        overload: governor.report(),
-    }
-}
-
-/// Convenience: a governed run and a plain [`run_streaming`] of the same
-/// stream, for overhead and bit-identity comparisons.
-pub fn run_streaming_both<I, J>(
-    simulator: &Simulator,
-    plain: I,
-    governed: J,
-    scheduler_plain: &mut dyn Scheduler,
-    scheduler_governed: &mut dyn Scheduler,
-    config: &EngineConfig,
-    overload: &OverloadConfig,
-) -> (StreamOutcome, GovernedOutcome)
-where
-    I: IntoIterator<Item = Arrival>,
-    J: IntoIterator<Item = Arrival>,
-{
-    let base = run_streaming(simulator, plain, scheduler_plain, config);
-    let governed = run_streaming_governed(
-        simulator,
-        governed,
-        scheduler_governed,
-        config,
-        overload,
-        None,
-    );
-    (base, governed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_streaming, EngineConfig};
+    use crate::observe::{run_streaming_observed, ObserveConfig};
     use energy_model::EnergyBreakdown;
     use multicore_sim::{
-        CoreId, CoreIndex, Decision, FallbackLevel, Job, JobExecution, LedgerAuditor, NullSink,
-        RecordingSink,
+        tier_cell, CoreId, CoreIndex, Decision, FallbackLevel, Job, JobExecution, LedgerAuditor,
+        NullSink, RecordingSink, RunMetrics, Scheduler, Simulator,
     };
     use workloads::{BenchmarkId, OpenLoop};
 
@@ -1052,12 +971,13 @@ mod tests {
         let source = || OpenLoop::poisson(30.0, 20, 42).take(2_000);
         let simulator = Simulator::new(4);
         let plain = run_streaming(&simulator, source(), &mut FirstIdle, &engine_config());
-        let governed = run_streaming_governed(
+        let governed = run_streaming_observed(
             &simulator,
             source(),
             &mut FirstIdle,
             &engine_config(),
             &OverloadConfig::disabled(),
+            &ObserveConfig::disabled(),
             None,
         );
         assert_bits(&plain.metrics, &governed.metrics);
@@ -1082,12 +1002,13 @@ mod tests {
             queue_capacity: Some(16),
             ..OverloadConfig::disabled()
         };
-        let outcome = run_streaming_governed(
+        let outcome = run_streaming_observed(
             &Simulator::new(2),
             source(),
             &mut FirstIdle,
             &engine_config(),
             &overload,
+            &ObserveConfig::disabled(),
             None,
         );
         let report = &outcome.overload;
@@ -1147,12 +1068,13 @@ mod tests {
             }),
             ..OverloadConfig::disabled()
         };
-        let outcome = run_streaming_governed(
+        let outcome = run_streaming_observed(
             &Simulator::new(4),
             burst,
             &mut FirstIdle,
             &engine_config(),
             &overload,
+            &ObserveConfig::disabled(),
             None,
         );
         assert_eq!(outcome.overload.admitted, 10);
@@ -1168,12 +1090,13 @@ mod tests {
             },
             ..OverloadConfig::disabled()
         };
-        let outcome = run_streaming_governed(
+        let outcome = run_streaming_observed(
             &Simulator::new(2),
             source,
             &mut FirstIdle,
             &engine_config(),
             &overload,
+            &ObserveConfig::disabled(),
             None,
         );
         let report = &outcome.overload;
@@ -1199,12 +1122,13 @@ mod tests {
             },
             ..OverloadConfig::disabled()
         };
-        let outcome = run_streaming_governed(
+        let outcome = run_streaming_observed(
             &Simulator::new(2),
             arrivals,
             &mut FirstIdle,
             &engine_config(),
             &overload,
+            &ObserveConfig::disabled(),
             None,
         );
         let report = &outcome.overload;
@@ -1244,12 +1168,13 @@ mod tests {
             ..OverloadConfig::disabled()
         };
         let cell = tier_cell();
-        let outcome = run_streaming_governed(
+        let outcome = run_streaming_observed(
             &Simulator::new(2),
             arrivals,
             &mut FirstIdle,
             &engine_config(),
             &overload,
+            &ObserveConfig::disabled(),
             Some(cell.clone()),
         );
         let report = &outcome.overload;
@@ -1377,12 +1302,13 @@ mod tests {
             max_snapshots: 8,
             slo: crate::SloPolicy::default(),
         };
-        let outcome = run_streaming_governed(
+        let outcome = run_streaming_observed(
             &Simulator::new(2),
             source,
             &mut FirstIdle,
             &config,
             &overload,
+            &ObserveConfig::disabled(),
             None,
         );
         assert!(outcome.overload.shed() > 0);

@@ -472,8 +472,8 @@ impl FaultPlan {
         FaultPlan::build(&FaultConfig::none(), 0)
     }
 
-    /// `true` when the plan injects nothing at all — the faulted loop's
-    /// fast path.
+    /// `true` when the plan injects nothing at all — the event loop's
+    /// quiet build.
     pub fn is_empty(&self) -> bool {
         self.transitions.is_empty() && !self.point_faults_possible && !self.corruption_possible
     }

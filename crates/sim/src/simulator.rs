@@ -243,11 +243,11 @@ impl Simulator {
     /// (`workloads::OpenLoop::poisson(…).take(n)`). Arrivals are pulled
     /// lazily, one event at a time, so the schedule is never materialised:
     /// steady-state memory is O(cores + queued jobs), independent of the
-    /// total job count. A materialised plan fed through this entry point
-    /// takes exactly the code path of the batch driver —
-    /// [`run_with_sink`](Self::run_with_sink) is a delegating wrapper — so
-    /// batch/stream bit-identity is structural, and locked in by the
-    /// `engine_properties` suite.
+    /// total job count. Every entry point — [`run`](Self::run),
+    /// [`run_with_sink`](Self::run_with_sink), this one and
+    /// [`run_with_faults`](Self::run_with_faults) — drives the same indexed
+    /// event loop, so batch/stream bit-identity is structural, and locked
+    /// in by the `engine_properties` suite.
     ///
     /// # Panics
     ///
@@ -263,386 +263,8 @@ impl Simulator {
         I: IntoIterator<Item = workloads::Arrival>,
         T: TraceSink + ?Sized,
     {
-        let priority_ordered = matches!(
-            self.discipline,
-            QueueDiscipline::Priority | QueueDiscipline::PreemptivePriority
-        );
-        let mut clock: u64 = 0;
-        // Indexed occupancy: per-core views plus the incrementally
-        // maintained idle bitmask and population counters every check
-        // below relies on.
-        let mut cores = CoreIndex::new(self.num_cores);
-        // The JobExecution behind each occupied core (for preemption
-        // refunds), and a per-core token that lazily invalidates
-        // completion events of preempted executions.
-        let mut running_exec: Vec<Option<crate::job::JobExecution>> = vec![None; self.num_cores];
-        let mut tokens: Vec<u64> = vec![0; self.num_cores];
-        let mut ready = ReadyQueue::new(priority_ordered);
-        // Min-heap of (completion_time, core_index, token); stale tokens
-        // are skipped on pop.
-        let mut completions: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        let mut arrivals = arrivals.into_iter().peekable();
-        let mut next_seq: u64 = 0;
-        // Streams must be time-ordered (the sorted-plan invariant); an
-        // out-of-order arrival would silently corrupt idle-span and
-        // turnaround accounting, so fail loudly instead.
-        let mut last_arrival_time: u64 = 0;
-
-        let mut energy = EnergyBreakdown::new();
-        let mut busy_cycles = vec![0u64; self.num_cores];
-        let mut jobs_completed = 0u64;
-        // Distinct per-job stall episodes vs raw per-offer stall count:
-        // `stalled` marks jobs currently inside an episode (cleared on
-        // placement), so a waiting job inflates only `stall_offers` on the
-        // passes triggered by unrelated arrivals/completions.
-        let mut stall_episodes = 0u64;
-        let mut stall_offers = 0u64;
-        let mut stalled = SeqBitSet::new();
-        let mut turnaround = 0u64;
-        let mut last_completion = 0u64;
-        let mut by_priority: BTreeMap<u8, crate::metrics::ClassStats> = BTreeMap::new();
-        let mut preemptions = 0u64;
-
-        loop {
-            // Next event time. Skip completion events whose execution was
-            // preempted (stale token).
-            while let Some(&Reverse((_, index, token))) = completions.peek() {
-                if token == tokens[index] {
-                    break;
-                }
-                completions.pop();
-            }
-            let next_arrival = arrivals.peek().map(|a| a.time);
-            let next_completion = completions.peek().map(|Reverse((t, _, _))| *t);
-            let now = match (next_arrival, next_completion) {
-                (Some(a), Some(c)) => a.min(c),
-                (Some(a), None) => a,
-                (None, Some(c)) => c,
-                (None, None) => break,
-            };
-
-            // Accrue idle energy over [clock, now). The idle mask makes
-            // this O(1) when the machine is saturated (no idle cores) and
-            // O(W + k) for k idle cores otherwise — same per-core f64
-            // operations in the same ascending core order as the linear
-            // scan, so the accumulated energy is bit-identical.
-            debug_assert!(now >= clock, "time must not run backwards");
-            let span = now - clock;
-            if span > 0 && cores.idle_count() > 0 {
-                for core in cores.idle_cores() {
-                    let power = scheduler.idle_power_nj_per_cycle(core);
-                    energy.idle_nj += span as f64 * power;
-                    if sink.enabled() {
-                        sink.record(TraceEvent::IdleSpan {
-                            core,
-                            from: clock,
-                            to: now,
-                            idle_power_nj_per_cycle: power,
-                        });
-                    }
-                }
-            }
-            clock = now;
-
-            // Retire every completion due now (skipping stale events).
-            while let Some(&Reverse((t, index, token))) = completions.peek() {
-                if t > clock {
-                    break;
-                }
-                completions.pop();
-                if token != tokens[index] {
-                    continue; // preempted execution
-                }
-                let info = cores
-                    .vacate(CoreId(index))
-                    .expect("completion for an occupied core");
-                running_exec[index] = None;
-                debug_assert_eq!(info.busy_until, t);
-                jobs_completed += 1;
-                turnaround += t - info.job.arrival;
-                let class = by_priority.entry(info.job.priority).or_default();
-                class.jobs += 1;
-                class.turnaround_cycles += t - info.job.arrival;
-                last_completion = last_completion.max(t);
-                if sink.enabled() {
-                    sink.record(TraceEvent::Completion {
-                        seq: info.job.seq,
-                        benchmark: info.job.benchmark,
-                        core: CoreId(index),
-                        at: t,
-                        arrival: info.job.arrival,
-                        priority: info.job.priority,
-                    });
-                }
-                scheduler.on_complete(&info.job, CoreId(index), clock);
-            }
-
-            // Enqueue every arrival due now.
-            while let Some(arrival) = arrivals.peek() {
-                if arrival.time > clock {
-                    break;
-                }
-                let arrival = arrivals.next().expect("peeked");
-                assert!(
-                    arrival.time >= last_arrival_time,
-                    "arrival stream must be time-ordered: {} after {}",
-                    arrival.time,
-                    last_arrival_time
-                );
-                last_arrival_time = arrival.time;
-                let job = Job {
-                    seq: next_seq,
-                    benchmark: arrival.benchmark,
-                    arrival: arrival.time,
-                    priority: arrival.priority,
-                };
-                if sink.enabled() {
-                    sink.record(TraceEvent::Arrival {
-                        seq: job.seq,
-                        benchmark: job.benchmark,
-                        at: job.arrival,
-                        priority: job.priority,
-                    });
-                }
-                ready.push(job);
-                next_seq += 1;
-            }
-
-            // Preempt-and-schedule rounds: under the preemptive
-            // discipline, a queued job that outranks the lowest-priority
-            // running job may evict it when every core is busy; the
-            // scheduling pass then places queued jobs. Rounds repeat until
-            // no eviction occurs (non-preemptive disciplines run exactly
-            // one round).
-            loop {
-                // Under priority disciplines the ready queue is a BTreeMap
-                // ordered by (priority, seq): no per-round sort needed.
-
-                // Eviction is committed only if the policy will place the
-                // urgent job on the freed core *right now*: the scheduler
-                // is probed with a hypothetical index in which the
-                // victim's core is idle (vacated, then restored on
-                // decline). A `Stall` answer leaves the victim running
-                // (this relies on the documented contract that `schedule`
-                // has no side effects when it returns `Stall`), preventing
-                // evict/stall/retake livelock with policies that prefer to
-                // wait for a specific core.
-                let mut evicted = false;
-                if self.discipline == QueueDiscipline::PreemptivePriority
-                    && cores.busy_count() == self.num_cores
-                    && !ready.is_empty()
-                {
-                    let urgent = ready.urgent().expect("non-empty");
-                    // Victim: lowest priority, then most remaining cycles
-                    // (greatest refund), then core index.
-                    let victim = cores
-                        .views()
-                        .iter()
-                        .filter_map(|view| view.busy.map(|info| (view.id.0, info)))
-                        .min_by_key(|(i, info)| (info.job.priority, Reverse(info.busy_until), *i));
-                    if let Some((index, info)) = victim {
-                        if info.job.priority < urgent.priority {
-                            let saved = cores.vacate(CoreId(index)).expect("victim occupied");
-                            debug_assert_eq!(saved, info);
-                            match scheduler.schedule(&urgent, &cores, clock) {
-                                Decision::Run { core, execution } => {
-                                    assert_eq!(
-                                        core.0, index,
-                                        "policy placed {urgent} on busy {core} during a \
-                                         preemption probe at cycle {clock}"
-                                    );
-                                    assert!(
-                                        execution.cycles > 0,
-                                        "policy scheduled {urgent} with a zero-cycle \
-                                         execution at cycle {clock}"
-                                    );
-                                    if sink.enabled() {
-                                        sink.record(TraceEvent::PreemptionProbe {
-                                            seq: urgent.seq,
-                                            victim: info.job.seq,
-                                            core: CoreId(index),
-                                            at: clock,
-                                            granted: true,
-                                        });
-                                    }
-                                    // Commit the eviction: refund the
-                                    // victim's unexecuted share. Placement
-                                    // validation guarantees old.cycles > 0.
-                                    let old = running_exec[index].take().expect("occupied");
-                                    let remaining_cycles = info.busy_until - clock;
-                                    let refund = remaining_cycles as f64 / old.cycles as f64;
-                                    energy.dynamic_nj -= old.energy.dynamic_nj * refund;
-                                    energy.static_nj -= old.energy.static_nj * refund;
-                                    busy_cycles[index] -= remaining_cycles;
-                                    tokens[index] += 1; // invalidate its completion
-                                    preemptions += 1;
-                                    if sink.enabled() {
-                                        sink.record(TraceEvent::Eviction {
-                                            victim: info.job.seq,
-                                            core: CoreId(index),
-                                            at: clock,
-                                            total_cycles: old.cycles,
-                                            remaining_cycles,
-                                            dynamic_nj: old.energy.dynamic_nj,
-                                            static_nj: old.energy.static_nj,
-                                        });
-                                    }
-                                    scheduler.on_preempt(&info.job, CoreId(index), clock);
-                                    let _ = ready.take_urgent();
-                                    ready.push(info.job);
-                                    // Place the urgent job on the vacated
-                                    // core.
-                                    cores.place(
-                                        CoreId(index),
-                                        BusyInfo {
-                                            job: urgent,
-                                            started: clock,
-                                            busy_until: clock + execution.cycles,
-                                        },
-                                    );
-                                    running_exec[index] = Some(execution);
-                                    completions.push(Reverse((
-                                        clock + execution.cycles,
-                                        index,
-                                        tokens[index],
-                                    )));
-                                    energy += execution.energy;
-                                    busy_cycles[index] += execution.cycles;
-                                    stalled.remove(urgent.seq);
-                                    if sink.enabled() {
-                                        sink.record(TraceEvent::Placement {
-                                            seq: urgent.seq,
-                                            benchmark: urgent.benchmark,
-                                            core: CoreId(index),
-                                            at: clock,
-                                            cycles: execution.cycles,
-                                            dynamic_nj: execution.energy.dynamic_nj,
-                                            static_nj: execution.energy.static_nj,
-                                            kind: PlacementKind::Preemption,
-                                        });
-                                    }
-                                    evicted = true;
-                                }
-                                Decision::Stall => {
-                                    // Policy declines the freed core; keep
-                                    // the victim running.
-                                    cores.place(CoreId(index), saved);
-                                    if sink.enabled() {
-                                        sink.record(TraceEvent::PreemptionProbe {
-                                            seq: urgent.seq,
-                                            victim: info.job.seq,
-                                            core: CoreId(index),
-                                            at: clock,
-                                            granted: false,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // Scheduling pass: offer each queued job once; restart the
-                // count after every placement. The saturation check is an
-                // O(1) idle-count read; the offer order is the cyclic
-                // cursor under priority disciplines (see [`ReadyQueue`]).
-                let mut remaining = ready.len();
-                let mut cursor: Option<PrioKey> = None;
-                while remaining > 0 && cores.idle_count() > 0 {
-                    let job = ready.offer(&mut cursor);
-                    match scheduler.schedule(&job, &cores, clock) {
-                        Decision::Run { core, execution } => {
-                            assert!(
-                                cores.view(core).busy.is_none(),
-                                "policy scheduled {job} onto busy {core} at cycle {clock}"
-                            );
-                            assert!(
-                                execution.cycles > 0,
-                                "policy scheduled {job} with a zero-cycle execution at \
-                                 cycle {clock}"
-                            );
-                            debug_assert_eq!(
-                                execution.energy.idle_nj, 0.0,
-                                "execution energy must not carry idle energy"
-                            );
-                            ready.placed(&cursor);
-                            cores.place(
-                                core,
-                                BusyInfo {
-                                    job,
-                                    started: clock,
-                                    busy_until: clock + execution.cycles,
-                                },
-                            );
-                            running_exec[core.0] = Some(execution);
-                            completions.push(Reverse((
-                                clock + execution.cycles,
-                                core.0,
-                                tokens[core.0],
-                            )));
-                            energy += execution.energy;
-                            busy_cycles[core.0] += execution.cycles;
-                            stalled.remove(job.seq);
-                            if sink.enabled() {
-                                sink.record(TraceEvent::Placement {
-                                    seq: job.seq,
-                                    benchmark: job.benchmark,
-                                    core,
-                                    at: clock,
-                                    cycles: execution.cycles,
-                                    dynamic_nj: execution.energy.dynamic_nj,
-                                    static_nj: execution.energy.static_nj,
-                                    kind: PlacementKind::Pass,
-                                });
-                            }
-                            remaining = ready.len();
-                        }
-                        Decision::Stall => {
-                            stall_offers += 1;
-                            if stalled.insert(job.seq) {
-                                stall_episodes += 1;
-                            }
-                            if sink.enabled() {
-                                sink.record(TraceEvent::Stall {
-                                    seq: job.seq,
-                                    benchmark: job.benchmark,
-                                    at: clock,
-                                });
-                            }
-                            ready.stalled(job);
-                            remaining -= 1;
-                        }
-                    }
-                }
-
-                if !evicted {
-                    break;
-                }
-            }
-
-            // Deadlock guard: nothing in flight, nothing arriving, but jobs
-            // remain queued — the policy can never make progress. O(1):
-            // the busy counter replaces the all-core scan.
-            let live_completions = cores.busy_count() > 0;
-            if !live_completions && arrivals.peek().is_none() && !ready.is_empty() {
-                panic!(
-                    "scheduler deadlock: {} job(s) stalled with every core idle at cycle {clock}",
-                    ready.len()
-                );
-            }
-        }
-
-        RunMetrics {
-            energy,
-            total_cycles: last_completion,
-            jobs_completed,
-            stalls: stall_episodes,
-            stall_offers,
-            busy_cycles,
-            turnaround_cycles: turnaround,
-            by_priority,
-            preemptions,
-        }
+        self.run_faulted_loop::<true, _, _>(arrivals, scheduler, &FaultPlan::empty(), sink)
+            .metrics
     }
 
     /// The retained **linear-scan** reference loop: untraced, and kept on
@@ -655,9 +277,10 @@ impl Simulator {
     /// suites and the baseline the perf gates measure against: the
     /// `sim_trace_overhead` stage requires [`run`](Self::run)
     /// (monomorphised [`NullSink`]) to stay within 2 % of this loop, and
-    /// the `sim_manycore` stage requires ≥5x over it at 256 cores. Keep
-    /// the event semantics in lockstep with the indexed loops when
-    /// changing any of them.
+    /// the `sim_manycore` stage requires ≥5x over it at 256 cores. It is
+    /// deliberately a second, independent implementation of the event
+    /// semantics of the one indexed loop: change both together, and let
+    /// the property suites prove they still agree.
     ///
     /// # Panics
     ///
@@ -928,11 +551,13 @@ impl Simulator {
     ///   [`Fallback`](TraceEvent::Fallback) event, and every availability
     ///   transition with a [`Degraded`](TraceEvent::Degraded) event.
     ///
-    /// With an empty plan ([`FaultPlan::is_empty`]) this loop produces
-    /// **bit-identical** metrics to [`run_reference`](Self::run_reference)
-    /// (property-tested, and perf-gated within 2 % by the
-    /// `sim_fault_overhead` stage). Keep the no-fault path in lockstep
-    /// with the other two loops when changing any of them.
+    /// This is the simulator's one event loop: [`run`](Self::run),
+    /// [`run_with_sink`](Self::run_with_sink) and
+    /// [`run_stream`](Self::run_stream) are this loop with an empty plan.
+    /// With an empty plan ([`FaultPlan::is_empty`]) every fault branch is
+    /// compiled out, and the metrics are **bit-identical** to
+    /// [`run_reference`](Self::run_reference) (property-tested, and
+    /// perf-gated by the `sim_fault_overhead` stage).
     ///
     /// # Panics
     ///
@@ -948,27 +573,41 @@ impl Simulator {
         // Monomorphise the loop on plan emptiness: with `QUIET = true`
         // every fault branch is compiled out (no transition can ever mark
         // a core offline, so the idle mask is pure vacancy), and the
-        // no-fault path costs the same as the indexed `run` loop.
+        // no-fault path is the very loop `run` takes.
+        let arrivals = plan.iter().copied();
         if fault_plan.is_empty() {
-            self.run_faulted_loop::<true, T>(plan, scheduler, fault_plan, sink)
+            self.run_faulted_loop::<true, _, T>(arrivals, scheduler, fault_plan, sink)
         } else {
-            self.run_faulted_loop::<false, T>(plan, scheduler, fault_plan, sink)
+            self.run_faulted_loop::<false, _, T>(arrivals, scheduler, fault_plan, sink)
         }
     }
 
-    fn run_faulted_loop<const QUIET: bool, T: TraceSink + ?Sized>(
+    /// The event loop behind every entry point. `QUIET` must equal
+    /// `fault_plan.is_empty()`: the quiet build reads and writes no fault
+    /// state at all.
+    ///
+    /// Never inlined, so every entry point with the same arrival and sink
+    /// types runs the same machine code: copies inlined into `run_stream`
+    /// and `run_with_faults` were laid out differently and timed up to
+    /// ~7% apart.
+    #[inline(never)]
+    fn run_faulted_loop<const QUIET: bool, I, T>(
         &self,
-        plan: &ArrivalPlan,
+        arrivals: I,
         scheduler: &mut dyn Scheduler,
         fault_plan: &FaultPlan,
         sink: &mut T,
-    ) -> FaultedRun {
-        /// How the execution occupying a core will end.
+    ) -> FaultedRun
+    where
+        I: IntoIterator<Item = workloads::Arrival>,
+        T: TraceSink + ?Sized,
+    {
+        /// How the execution occupying a core will end: a completion, or
+        /// a crash or watchdog kill after `executed` charged cycles.
         #[derive(Clone, Copy, PartialEq)]
         enum AttemptOutcome {
             Complete,
-            Crash { executed: u64 },
-            Watchdog,
+            Fail { kind: FaultKind, executed: u64 },
         }
 
         let priority_ordered = matches!(
@@ -976,20 +615,34 @@ impl Simulator {
             QueueDiscipline::Priority | QueueDiscipline::PreemptivePriority
         );
         let mut clock: u64 = 0;
-        // Indexed occupancy (see `run_with_sink`). The idle mask is
-        // vacant ∧ online, so outage transitions update it through
+        // Indexed occupancy: per-core views plus the incrementally
+        // maintained idle bitmask and population counters. The idle mask
+        // is vacant ∧ online, so outage transitions update it through
         // `set_online` and every saturation/liveness check below is O(1).
         let mut cores = CoreIndex::new(self.num_cores);
+        // The JobExecution behind each occupied core (for preemption
+        // refunds), and a per-core token that lazily invalidates end
+        // events of preempted or evicted executions.
         let mut running_exec: Vec<Option<crate::job::JobExecution>> = vec![None; self.num_cores];
         let mut tokens: Vec<u64> = vec![0; self.num_cores];
         let mut ready = ReadyQueue::new(priority_ordered);
+        // Min-heap of (event_time, core_index, token); stale tokens are
+        // skipped on pop.
         let mut completions: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        let mut arrivals = plan.iter().peekable();
+        let mut arrivals = arrivals.into_iter().peekable();
         let mut next_seq: u64 = 0;
+        // Streams must be time-ordered (the sorted-plan invariant); an
+        // out-of-order arrival would silently corrupt idle-span and
+        // turnaround accounting, so fail loudly instead.
+        let mut last_arrival_time: u64 = 0;
 
         let mut energy = EnergyBreakdown::new();
         let mut busy_cycles = vec![0u64; self.num_cores];
         let mut jobs_completed = 0u64;
+        // Distinct per-job stall episodes vs raw per-offer stall count:
+        // `stalled` marks jobs currently inside an episode (cleared on
+        // placement), so a waiting job inflates only `stall_offers` on the
+        // passes triggered by unrelated arrivals/completions.
         let mut stall_episodes = 0u64;
         let mut stall_offers = 0u64;
         let mut stalled = SeqBitSet::new();
@@ -998,9 +651,13 @@ impl Simulator {
         let mut by_priority: BTreeMap<u8, crate::metrics::ClassStats> = BTreeMap::new();
         let mut preemptions = 0u64;
 
-        // Fault-regime state.
+        // Fault-regime state, never touched by the quiet build.
         let mut stats = FaultStats::default();
-        let mut outcome = vec![AttemptOutcome::Complete; self.num_cores];
+        let mut outcome = if QUIET {
+            Vec::new()
+        } else {
+            vec![AttemptOutcome::Complete; self.num_cores]
+        };
         let transitions = fault_plan.transitions();
         let mut transition_cursor = 0usize;
         // Min-heap of (ready_at, seq) retry wakeups, with the parked jobs.
@@ -1008,11 +665,7 @@ impl Simulator {
         let mut retry_jobs: std::collections::HashMap<u64, Job> = std::collections::HashMap::new();
         // Crash/watchdog failures per job (outage evictions are free).
         let mut failures: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        debug_assert_eq!(
-            QUIET,
-            fault_plan.is_empty(),
-            "dispatched by run_with_faults"
-        );
+        debug_assert_eq!(QUIET, fault_plan.is_empty(), "QUIET is plan emptiness");
 
         /// The fault-aware placement charge: what to book, when the heap
         /// event fires, and how the attempt ends.
@@ -1026,9 +679,7 @@ impl Simulator {
                           clock: u64,
                           failures: &std::collections::HashMap<u64, u32>|
          -> Charge {
-            // Empty-plan fast path: skip the failure-count hash lookup
-            // and the fault draw entirely, keeping the no-fault loop
-            // within the perf gate's 2% of the untraced reference.
+            // Empty-plan fast path: no failure-count lookup, no fault draw.
             if QUIET {
                 return Charge {
                     event_at: clock + execution.cycles,
@@ -1050,7 +701,10 @@ impl Simulator {
                     Charge {
                         event_at: clock + executed,
                         execution,
-                        outcome: AttemptOutcome::Crash { executed },
+                        outcome: AttemptOutcome::Fail {
+                            kind: FaultKind::Crash,
+                            executed,
+                        },
                     }
                 }
                 Some(AttemptFault::Hang) => {
@@ -1066,7 +720,12 @@ impl Simulator {
                                 ..EnergyBreakdown::new()
                             },
                         },
-                        outcome: AttemptOutcome::Watchdog,
+                        // The stretched run is fully charged: its refund
+                        // is an exact 0.0 (honest accounting of waste).
+                        outcome: AttemptOutcome::Fail {
+                            kind: FaultKind::Watchdog,
+                            executed: stretched,
+                        },
                     }
                 }
             }
@@ -1085,8 +744,8 @@ impl Simulator {
             let next_completion = completions.peek().map(|Reverse((t, _, _))| *t);
             let now = if QUIET {
                 // Empty-plan fast path: retries and transitions cannot
-                // exist, so event selection is exactly the reference
-                // loop's two-way match (perf-gated to within 2% of it).
+                // exist, so event selection is the two-way match of
+                // arrivals against completions.
                 match (next_arrival, next_completion) {
                     (Some(a), Some(c)) => a.min(c),
                     (Some(a), None) => a,
@@ -1155,8 +814,15 @@ impl Simulator {
                 let info = cores
                     .vacate(CoreId(index))
                     .expect("event for an occupied core");
-                let exec = running_exec[index].take().expect("occupied");
-                match outcome[index] {
+                let exec = running_exec[index].take();
+                // The quiet build never reads `outcome`: every end event
+                // is a completion.
+                let ended = if QUIET {
+                    AttemptOutcome::Complete
+                } else {
+                    outcome[index]
+                };
+                match ended {
                     AttemptOutcome::Complete => {
                         debug_assert_eq!(info.busy_until, t);
                         jobs_completed += 1;
@@ -1194,7 +860,8 @@ impl Simulator {
                         }
                         scheduler.on_complete(&info.job, CoreId(index), clock);
                     }
-                    AttemptOutcome::Crash { executed } => {
+                    AttemptOutcome::Fail { kind, executed } => {
+                        let exec = exec.expect("occupied");
                         outcome[index] = AttemptOutcome::Complete;
                         debug_assert_eq!(info.started + executed, t);
                         // Refund the unexecuted remainder — the exact
@@ -1204,14 +871,17 @@ impl Simulator {
                         energy.dynamic_nj -= exec.energy.dynamic_nj * refund;
                         energy.static_nj -= exec.energy.static_nj * refund;
                         busy_cycles[index] -= remaining_cycles;
-                        stats.crashes += 1;
+                        match kind {
+                            FaultKind::Crash => stats.crashes += 1,
+                            _ => stats.watchdog_kills += 1,
+                        }
                         if sink.enabled() {
                             sink.record(TraceEvent::Fault {
                                 seq: info.job.seq,
                                 benchmark: info.job.benchmark,
                                 core: CoreId(index),
                                 at: t,
-                                kind: FaultKind::Crash,
+                                kind,
                                 total_cycles: exec.cycles,
                                 executed_cycles: executed,
                                 dynamic_nj: exec.energy.dynamic_nj,
@@ -1230,105 +900,77 @@ impl Simulator {
                             sink,
                         );
                     }
-                    AttemptOutcome::Watchdog => {
-                        outcome[index] = AttemptOutcome::Complete;
-                        debug_assert_eq!(info.busy_until, t);
-                        // The stretched run was fully charged: the refund
-                        // is an exact 0.0 (honest accounting of waste).
-                        stats.watchdog_kills += 1;
-                        if sink.enabled() {
-                            sink.record(TraceEvent::Fault {
-                                seq: info.job.seq,
-                                benchmark: info.job.benchmark,
-                                core: CoreId(index),
-                                at: t,
-                                kind: FaultKind::Watchdog,
-                                total_cycles: exec.cycles,
-                                executed_cycles: exec.cycles,
-                                dynamic_nj: exec.energy.dynamic_nj,
-                                static_nj: exec.energy.static_nj,
-                            });
-                        }
-                        scheduler.on_preempt(&info.job, CoreId(index), clock);
-                        Self::schedule_retry(
-                            info.job,
-                            fault_plan,
-                            clock,
-                            &mut failures,
-                            &mut retries,
-                            &mut retry_jobs,
-                            &mut stats,
-                            sink,
-                        );
-                    }
                 }
             }
 
-            // Process availability transitions due now. A core dropping
-            // offline evicts its occupant first (refund + requeue for
-            // migration — no retry attempt charged), then announces the
-            // transition, so the trace proves the core was vacant.
-            while let Some(transition) = transitions.get(transition_cursor) {
-                if transition.at > clock {
-                    break;
-                }
-                transition_cursor += 1;
-                if let DegradedComponent::Core(core) = transition.component {
-                    let index = core.0;
-                    if index >= self.num_cores {
-                        continue; // plan built for a wider machine
+            // Fault-regime events due now (the quiet build has none).
+            if !QUIET {
+                // Process availability transitions due now. A core dropping
+                // offline evicts its occupant first (refund + requeue for
+                // migration — no retry attempt charged), then announces the
+                // transition, so the trace proves the core was vacant.
+                while let Some(transition) = transitions.get(transition_cursor) {
+                    if transition.at > clock {
+                        break;
                     }
-                    if !transition.online {
-                        if let Some(info) = cores.vacate(core) {
-                            let exec = running_exec[index].take().expect("occupied");
-                            let executed = clock - info.started;
-                            let remaining_cycles = exec.cycles - executed;
-                            let refund = remaining_cycles as f64 / exec.cycles as f64;
-                            energy.dynamic_nj -= exec.energy.dynamic_nj * refund;
-                            energy.static_nj -= exec.energy.static_nj * refund;
-                            busy_cycles[index] -= remaining_cycles;
-                            tokens[index] += 1; // invalidate its end event
-                            outcome[index] = AttemptOutcome::Complete;
-                            stats.outage_evictions += 1;
-                            if sink.enabled() {
-                                sink.record(TraceEvent::Fault {
-                                    seq: info.job.seq,
-                                    benchmark: info.job.benchmark,
-                                    core,
-                                    at: clock,
-                                    kind: FaultKind::CoreOutage,
-                                    total_cycles: exec.cycles,
-                                    executed_cycles: executed,
-                                    dynamic_nj: exec.energy.dynamic_nj,
-                                    static_nj: exec.energy.static_nj,
-                                });
+                    transition_cursor += 1;
+                    if let DegradedComponent::Core(core) = transition.component {
+                        let index = core.0;
+                        if index >= self.num_cores {
+                            continue; // plan built for a wider machine
+                        }
+                        if !transition.online {
+                            if let Some(info) = cores.vacate(core) {
+                                let exec = running_exec[index].take().expect("occupied");
+                                let executed = clock - info.started;
+                                let remaining_cycles = exec.cycles - executed;
+                                let refund = remaining_cycles as f64 / exec.cycles as f64;
+                                energy.dynamic_nj -= exec.energy.dynamic_nj * refund;
+                                energy.static_nj -= exec.energy.static_nj * refund;
+                                busy_cycles[index] -= remaining_cycles;
+                                tokens[index] += 1; // invalidate its end event
+                                outcome[index] = AttemptOutcome::Complete;
+                                stats.outage_evictions += 1;
+                                if sink.enabled() {
+                                    sink.record(TraceEvent::Fault {
+                                        seq: info.job.seq,
+                                        benchmark: info.job.benchmark,
+                                        core,
+                                        at: clock,
+                                        kind: FaultKind::CoreOutage,
+                                        total_cycles: exec.cycles,
+                                        executed_cycles: executed,
+                                        dynamic_nj: exec.energy.dynamic_nj,
+                                        static_nj: exec.energy.static_nj,
+                                    });
+                                }
+                                scheduler.on_preempt(&info.job, core, clock);
+                                ready.push(info.job);
                             }
-                            scheduler.on_preempt(&info.job, core, clock);
-                            ready.push(info.job);
+                            cores.set_online(core, false);
+                        } else {
+                            cores.set_online(core, true);
                         }
-                        cores.set_online(core, false);
-                    } else {
-                        cores.set_online(core, true);
+                    }
+                    stats.degraded_transitions += 1;
+                    if sink.enabled() {
+                        sink.record(TraceEvent::Degraded {
+                            at: clock,
+                            component: transition.component,
+                            online: transition.online,
+                        });
                     }
                 }
-                stats.degraded_transitions += 1;
-                if sink.enabled() {
-                    sink.record(TraceEvent::Degraded {
-                        at: clock,
-                        component: transition.component,
-                        online: transition.online,
-                    });
-                }
-            }
 
-            // Re-admit retries whose backoff has expired.
-            while let Some(&Reverse((t, seq))) = retries.peek() {
-                if t > clock {
-                    break;
+                // Re-admit retries whose backoff has expired.
+                while let Some(&Reverse((t, seq))) = retries.peek() {
+                    if t > clock {
+                        break;
+                    }
+                    retries.pop();
+                    let job = retry_jobs.remove(&seq).expect("parked retry job");
+                    ready.push(job);
                 }
-                retries.pop();
-                let job = retry_jobs.remove(&seq).expect("parked retry job");
-                ready.push(job);
             }
 
             // Enqueue every arrival due now.
@@ -1337,6 +979,13 @@ impl Simulator {
                     break;
                 }
                 let arrival = arrivals.next().expect("peeked");
+                assert!(
+                    arrival.time >= last_arrival_time,
+                    "arrival stream must be time-ordered: {} after {}",
+                    arrival.time,
+                    last_arrival_time
+                );
+                last_arrival_time = arrival.time;
                 let job = Job {
                     seq: next_seq,
                     benchmark: arrival.benchmark,
@@ -1355,9 +1004,23 @@ impl Simulator {
                 next_seq += 1;
             }
 
-            // Preempt-and-schedule rounds (see `run_with_sink`). "Every
-            // core busy" counts offline cores as unavailable rather than
-            // idle — exactly an empty idle mask with something running.
+            // Preempt-and-schedule rounds: under the preemptive
+            // discipline, a queued job that outranks the lowest-priority
+            // running job may evict it when every core is busy; the
+            // scheduling pass then places queued jobs. Rounds repeat until
+            // no eviction occurs (non-preemptive disciplines run exactly
+            // one round). "Every core busy" counts offline cores as
+            // unavailable rather than idle — exactly an empty idle mask
+            // with something running.
+            //
+            // Eviction is committed only if the policy will place the
+            // urgent job on the freed core *right now*: the scheduler is
+            // probed with the victim's core vacated, then restored on
+            // decline. A `Stall` answer leaves the victim running (this
+            // relies on the documented contract that `schedule` has no side
+            // effects when it returns `Stall`), preventing evict/stall/
+            // retake livelock with policies that prefer to wait for a
+            // specific core.
             loop {
                 let mut evicted = false;
                 if self.discipline == QueueDiscipline::PreemptivePriority
@@ -1366,6 +1029,8 @@ impl Simulator {
                     && !ready.is_empty()
                 {
                     let urgent = ready.urgent().expect("non-empty");
+                    // Victim: lowest priority, then most remaining cycles
+                    // (greatest refund), then core index.
                     let victim = cores
                         .views()
                         .iter()
@@ -1435,7 +1100,9 @@ impl Simulator {
                                         },
                                     );
                                     running_exec[index] = Some(charge.execution);
-                                    outcome[index] = charge.outcome;
+                                    if !QUIET {
+                                        outcome[index] = charge.outcome;
+                                    }
                                     completions.push(Reverse((
                                         charge.event_at,
                                         index,
@@ -1475,6 +1142,10 @@ impl Simulator {
                     }
                 }
 
+                // Scheduling pass: offer each queued job once; restart the
+                // count after every placement. The saturation check is an
+                // O(1) idle-count read; the offer order is the cyclic
+                // cursor under priority disciplines (see [`ReadyQueue`]).
                 let mut remaining = ready.len();
                 let mut cursor: Option<PrioKey> = None;
                 while remaining > 0 && cores.idle_count() > 0 {
@@ -1509,7 +1180,9 @@ impl Simulator {
                                 },
                             );
                             running_exec[core.0] = Some(charge.execution);
-                            outcome[core.0] = charge.outcome;
+                            if !QUIET {
+                                outcome[core.0] = charge.outcome;
+                            }
                             completions.push(Reverse((charge.event_at, core.0, tokens[core.0])));
                             energy += charge.execution.energy;
                             busy_cycles[core.0] += charge.execution.cycles;
@@ -1558,8 +1231,7 @@ impl Simulator {
             let live_completions = cores.busy_count() > 0;
             if !live_completions
                 && arrivals.peek().is_none()
-                && retries.is_empty()
-                && transition_cursor >= transitions.len()
+                && (QUIET || (retries.is_empty() && transition_cursor >= transitions.len()))
                 && !ready.is_empty()
             {
                 panic!(
@@ -1824,6 +1496,17 @@ mod tests {
     #[should_panic(expected = "scheduler deadlock")]
     fn deadlock_is_detected() {
         let _ = Simulator::new(1).run(&plan(&[0]), &mut AlwaysStall);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival stream must be time-ordered")]
+    fn out_of_order_stream_is_rejected() {
+        let mut policy = SingleCore {
+            duration: 10,
+            completions_seen: Vec::new(),
+        };
+        let stream = [50, 20].map(|t| Arrival::new(t, BenchmarkId(0)));
+        let _ = Simulator::new(1).run_stream(stream, &mut policy, &mut NullSink);
     }
 
     /// Schedules onto a busy core: must be caught.

@@ -11,7 +11,8 @@
 //!   simulator's typed event stream into per-core time-series windows,
 //!   run-wide latency/energy/stall histograms, and run totals, without
 //!   retaining the raw events. Attaching it never changes a run's
-//!   `RunMetrics` (property-tested bit-identical to `run_reference`).
+//!   `RunMetrics`: the traced run takes the simulator's one event loop,
+//!   property-tested bit-identical to the `run_reference` oracle.
 //! * [`SpanRecorder`] / [`Span`] — RAII wall-clock profiling of the
 //!   offline pipeline stages (characterisation, oracle build, ensemble
 //!   training, prediction), pluggable into

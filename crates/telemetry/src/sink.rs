@@ -18,11 +18,12 @@
 //! * **run totals** mirroring the window counters.
 //!
 //! The sink is passive: it never influences the simulation, so a run
-//! with a `MetricsSink` attached returns `RunMetrics` bit-identical to
-//! [`Simulator::run_reference`](multicore_sim::Simulator) — enforced by
-//! property tests in `crates/bench/tests/telemetry_properties.rs` and
-//! held within a gated cost budget by the `sim_metrics_overhead` stage
-//! of `perf_pipeline`.
+//! with a `MetricsSink` attached drives the simulator's one event loop
+//! and returns `RunMetrics` bit-identical to the
+//! [`Simulator::run_reference`](multicore_sim::Simulator) oracle —
+//! enforced by property tests in
+//! `crates/bench/tests/telemetry_properties.rs` and held within a gated
+//! cost budget by the `sim_metrics_overhead` stage of `perf_pipeline`.
 //!
 //! Windows are addressed by index (`at / interval`), which makes the
 //! out-of-order back-fill of [`TraceEvent::IdleSpan`] (stamped at span

@@ -37,8 +37,14 @@ else
     echo "==> cargo clippy not installed; skipping"
 fi
 
-echo "==> perf_pipeline --smoke (release; every stage end to end, no gate)"
+echo "==> cargo build --release (bench binaries, then perfbench)"
 cargo build --release --offline -p hetero-bench
+# perfbench is a workspace of its own that links the public API, so a
+# removed or renamed entry point would otherwise surface only when the
+# benchmark runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perf_pipeline --smoke (release; every stage end to end, no gate)"
 ./target/release/perf_pipeline --smoke
 
 echo "==> audit --smoke (flight-recorder ledger + stall-purity audit)"
