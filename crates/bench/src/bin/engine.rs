@@ -39,9 +39,9 @@
 //!   back to `proposed`) with the live observability plane attached: an
 //!   HTTP endpoint on `127.0.0.1:PORT` answers `/metrics` (Prometheus
 //!   text), `/health` (alert + progress JSON), and `/snapshot` (the
-//!   snapshot ring's tail) *during* the run, polled at snapshot
-//!   boundaries. `--linger SECS` keeps answering on the final state
-//!   after the run completes.
+//!   snapshot ring's tail) *during* the run, from a server thread fed
+//!   with state the run publishes at snapshot boundaries. `--linger
+//!   SECS` keeps answering on the final state after the run completes.
 //! * `--perfetto PATH.json` — assemble causal job/core spans over the
 //!   same single-system run and write a Chrome trace-event JSON
 //!   artifact loadable at `ui.perfetto.dev` (schema-validated before it
@@ -605,10 +605,10 @@ fn boxed_system<'t>(testbed: &'t Testbed, system_index: usize) -> Box<dyn Schedu
 }
 
 /// `engine --serve PORT` / `--perfetto PATH`: one system served through
-/// the live observability plane — scrape endpoint polled at snapshot
-/// boundaries while the run is hot, burn-rate alerting on the p99
-/// budget, and (with `--perfetto`) causal spans written out as a
-/// Chrome trace-event artifact.
+/// the live observability plane — scrape endpoint answered from its own
+/// thread with state published at snapshot boundaries while the run is
+/// hot, burn-rate alerting on the p99 budget, and (with `--perfetto`)
+/// causal spans written out as a Chrome trace-event artifact.
 fn observed_run(options: &Options) -> ExitCode {
     let setup = Instant::now();
     let testbed = if options.smoke {
@@ -656,19 +656,17 @@ fn observed_run(options: &Options) -> ExitCode {
     let started = Instant::now();
     let metrics = Simulator::new(num_cores).run_stream(stream, &mut *system, &mut plane);
     print_wall_time(setup, started.elapsed(), metrics.jobs_completed);
+    // Publishes the final state; the server thread answers from it for
+    // as long as `outcome.server` lives.
+    let outcome = plane.finish(&config);
 
     if options.serve.is_some() && options.linger > 0.0 {
         println!(
             "run complete; serving the final state for another {:.1}s",
             options.linger
         );
-        let deadline = Instant::now() + Duration::from_secs_f64(options.linger);
-        while Instant::now() < deadline {
-            plane.poll_server();
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        std::thread::sleep(Duration::from_secs_f64(options.linger));
     }
-    let outcome = plane.finish(&config);
     let report = &outcome.report;
 
     let mut failures = 0u32;
@@ -701,8 +699,8 @@ fn observed_run(options: &Options) -> ExitCode {
             outcome.alerts.resolved,
         );
     }
-    if options.serve.is_some() {
-        let stats = outcome.serve_stats;
+    if let Some(server) = &outcome.server {
+        let stats = server.stats();
         println!(
             "  scrapes: {} served, {} not found, {} rejected",
             stats.served, stats.not_found, stats.rejected
@@ -763,7 +761,7 @@ fn serve_smoke() -> ExitCode {
     let addr = plane.serve_addr().expect("bind an ephemeral loopback port");
     println!("serve smoke: scraping http://{addr} during a live small-testbed run");
 
-    // Each client retries until the poll loop answers it with a 200.
+    // Each client retries until the server thread answers it with a 200.
     let clients: Vec<(&str, std::thread::JoinHandle<String>)> =
         ["/metrics", "/health", "/snapshot"]
             .into_iter()
@@ -802,13 +800,13 @@ fn serve_smoke() -> ExitCode {
         testbed.predictor.clone(),
     );
     let metrics = Simulator::new(num_cores).run_stream(stream, &mut system, &mut plane);
-
-    // Drain scrapes the in-run boundary polls did not catch.
+    // Scrapes the in-run boundary publications did not catch are answered
+    // from the final state.
+    let outcome = plane.finish(&config);
     for _ in 0..2_000 {
         if clients.iter().all(|(_, handle)| handle.is_finished()) {
             break;
         }
-        plane.poll_server();
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
 
@@ -833,7 +831,10 @@ fn serve_smoke() -> ExitCode {
         }
     }
 
-    let outcome = plane.finish(&config);
+    let served = outcome
+        .server
+        .as_ref()
+        .map_or(0, |server| server.stats().served);
     if metrics.jobs_completed != jobs as u64 {
         eprintln!(
             "  FAIL: completed {} of {jobs} jobs",
@@ -841,11 +842,8 @@ fn serve_smoke() -> ExitCode {
         );
         failures += 1;
     }
-    if outcome.serve_stats.served < 3 {
-        eprintln!(
-            "  FAIL: served {} scrapes, expected at least 3",
-            outcome.serve_stats.served
-        );
+    if served < 3 {
+        eprintln!("  FAIL: served {served} scrapes, expected at least 3");
         failures += 1;
     }
 
@@ -894,8 +892,7 @@ fn serve_smoke() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "ENGINE SERVE SMOKE OK: {} scrapes answered live, spans conserved, artifact round-trips",
-        outcome.serve_stats.served
+        "ENGINE SERVE SMOKE OK: {served} scrapes answered, spans conserved, artifact round-trips"
     );
     ExitCode::SUCCESS
 }

@@ -47,7 +47,7 @@
 //! `STREAM_RSS_BUDGET_MB`). Two service-layer no-regression bars,
 //! `engine_overload` and `engine_observe`, pin the quiescent cost of
 //! the overload governor and of the armed live observability plane
-//! (burn-rate evaluation + a polled scrape server) at >= 0.95x the
+//! (burn-rate evaluation + a bound scrape server) at >= 0.95x the
 //! plain streaming engine; the ungated `engine_observe_spans` stage
 //! records what the export-path span assembler adds on top. The ungated
 //! `sched_proposed` stage times the proposed scheduler against a
@@ -163,7 +163,7 @@ const ENGINE_OVERLOAD_MIN_RATIO: f64 = 0.95;
 /// `engine_observe` is the same kind of no-regression bar for the
 /// *armed live* observability plane: `run_streaming_observed` with a
 /// burn-rate rule evaluated at each closed window and a bound scrape
-/// server polled at snapshot boundaries (no clients connected) against
+/// server checked at snapshot boundaries (no clients connected) against
 /// plain `run_streaming` on the same open-loop stream. The rule's
 /// latency budget sits at `u64::MAX` so the alert machinery runs but
 /// never fires. Span assembly is excluded here (export-path, O(trace)
@@ -915,7 +915,8 @@ fn measure_engine_overload(iters: u32) -> Stage {
 /// — plain `run_streaming` as the reference, `run_streaming_observed`
 /// with the *live* plane armed as the fused side: a burn-rate rule
 /// folding every completion and evaluated at each window boundary, and
-/// a bound scrape server polled at every snapshot boundary. The rule's
+/// a bound scrape server (its thread started and joined inside each
+/// run, its flag checked at every snapshot boundary). The rule's
 /// latency budget is infinite so the alert machinery runs but never
 /// fires, and no client ever connects — pure quiescent cost riding on
 /// real scheduling work. Span assembly is deliberately NOT part of this

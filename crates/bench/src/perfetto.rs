@@ -79,7 +79,7 @@ fn instant_event(mark: &Mark) -> Json {
     if let Some(seq) = mark.seq {
         args.push(("seq", Json::UInt(seq)));
     }
-    if let Some(detail) = &mark.detail {
+    if let Some(detail) = mark.detail.as_deref() {
         args.push(("detail", Json::str(detail)));
     }
     Json::object([

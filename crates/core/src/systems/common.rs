@@ -61,6 +61,8 @@ pub enum Pending {
 /// estimate of the Section IV.E decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Running {
+    /// Sequence number of the occupying job.
+    pub seq: u64,
     /// Total cost of the occupying execution.
     pub cost: ExecutionCost,
 }
@@ -82,7 +84,9 @@ pub struct Shared<'a> {
     /// one interleaving, placing the urgent job before the victim's
     /// `on_preempt` arrives (see [`launch`](Self::launch)).
     pub pending: Vec<Option<(u64, Pending)>>,
-    /// Occupancy records keyed by core index.
+    /// Occupancy records keyed by core index. Like `pending`, a record
+    /// carries its job's seq, so the victim's late abort after a granted
+    /// preemption probe cannot clear the urgent job's record.
     pub running: Vec<Option<Running>>,
     /// Benchmarks whose profiling execution is in flight: further
     /// instances must wait (no information exists yet).
@@ -118,7 +122,7 @@ impl<'a> Shared<'a> {
     /// A granted preemption probe launches onto the victim's core before
     /// the victim's `on_preempt`; the victim's pending record is retired
     /// here (as [`abort`](Self::abort) would) and its late `abort` then
-    /// finds the slot owned by another job and leaves it alone.
+    /// finds both slots owned by another job and leaves them alone.
     pub fn launch(
         &mut self,
         job: &Job,
@@ -128,7 +132,7 @@ impl<'a> Shared<'a> {
     ) -> Decision {
         let cost = self.oracle.cost(job.benchmark, config);
         self.core_config[core.0] = config;
-        self.running[core.0] = Some(Running { cost });
+        self.running[core.0] = Some(Running { seq: job.seq, cost });
         if let Some((_, displaced)) = self.pending[core.0].replace((job.seq, pending)) {
             self.retire_aborted(displaced);
         }
@@ -205,7 +209,7 @@ impl<'a> Shared<'a> {
     /// observed the run finish — and an interrupted profiling execution is
     /// un-marked so the benchmark can be profiled again.
     pub fn abort(&mut self, job: &Job, core: CoreId) {
-        self.running[core.0] = None;
+        self.running[core.0].take_if(|running| running.seq == job.seq);
         if let Some(pending) = self.take_pending(job, core) {
             self.retire_aborted(pending);
         }
@@ -258,6 +262,7 @@ impl<'a> Shared<'a> {
             match slot {
                 Some(running) => {
                     fp.write_u64(1);
+                    fp.write_u64(running.seq);
                     fp.write_u64(running.cost.cycles);
                     fp.write_f64(running.cost.energy.dynamic_nj);
                     fp.write_f64(running.cost.energy.static_nj);
@@ -489,6 +494,35 @@ mod tests {
         );
         shared.complete(&urgent, CoreId(3), |_| unreachable!("not a profile"));
         assert_eq!(shared.pending[3], None);
+    }
+
+    #[test]
+    fn probe_abort_keeps_the_urgent_jobs_occupancy() {
+        // The Sec. IV.E decision reads the occupant's energy rate from
+        // `running`: the victim's late abort after a granted probe must
+        // not erase the urgent job's record on the same core.
+        let (arch, oracle, model) = fixture();
+        let mut shared = Shared::new(arch, oracle, model);
+        let config = arch.default_config(CoreId(2));
+        let victim = job(0, 4);
+        let urgent = job(1, 5);
+        for job in [&victim, &urgent] {
+            let _ = shared.launch(
+                job,
+                CoreId(2),
+                config,
+                Pending::Execution {
+                    benchmark: job.benchmark,
+                    config,
+                },
+            );
+        }
+        shared.abort(&victim, CoreId(2));
+        let occupant = shared.running[2].expect("the urgent job still occupies core 2");
+        assert_eq!(occupant.seq, 1);
+        assert_eq!(occupant.cost, oracle.cost(urgent.benchmark, config));
+        shared.abort(&urgent, CoreId(2));
+        assert!(shared.running[2].is_none(), "its own abort clears it");
     }
 
     #[test]

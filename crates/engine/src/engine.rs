@@ -64,6 +64,9 @@ pub struct EngineSink {
     snapshots: VecDeque<Snapshot>,
     max_snapshots: usize,
     snapshots_emitted: u64,
+    /// Run-wide p99 latency and the completion count it was computed at:
+    /// the bucket scan reruns only when a completion arrived since.
+    cumulative_p99: (u64, u64),
 }
 
 impl EngineSink {
@@ -85,6 +88,7 @@ impl EngineSink {
             snapshots: VecDeque::new(),
             max_snapshots: config.max_snapshots.max(1),
             snapshots_emitted: 0,
+            cumulative_p99: (0, 0),
         }
     }
 
@@ -122,27 +126,34 @@ impl EngineSink {
         let span_index = start / self.snapshot_cycles;
         let points = self.metrics.drain_points(boundary);
         let latency = self.take_open_latency(span_index);
-        self.push_snapshot(start, boundary, &points, &latency);
+        self.push_snapshot(start, boundary, &points, latency.as_ref());
     }
 
-    /// Pop the windowed latency histogram of `span_index` (empty if no
+    /// Pop the windowed latency histogram of `span_index` (`None` if no
     /// job completed in that span).
-    fn take_open_latency(&mut self, span_index: u64) -> Histogram {
+    fn take_open_latency(&mut self, span_index: u64) -> Option<Histogram> {
         match self.open_latency.front() {
             Some((index, _)) if *index == span_index => {
-                self.open_latency.pop_front().expect("peeked").1
+                self.open_latency.pop_front().map(|(_, hist)| hist)
             }
-            _ => Histogram::new(),
+            _ => None,
         }
     }
 
+    /// Fold a closed span into the ring. `latency` is `None` for a span
+    /// with no completion (windowed p50/p99 read 0, as an empty
+    /// histogram's would).
     fn push_snapshot(
         &mut self,
         start: u64,
         end: u64,
         points: &[hetero_telemetry::SeriesPoint],
-        latency: &Histogram,
+        latency: Option<&Histogram>,
     ) {
+        let completed = self.metrics.latency_cycles().count();
+        if completed != self.cumulative_p99.0 {
+            self.cumulative_p99 = (completed, self.metrics.latency_cycles().p99());
+        }
         let totals = self.metrics.totals();
         let cumulative_energy = totals.dynamic_nj + totals.static_nj + totals.idle_energy_nj;
         let cumulative_energy_per_job = if totals.completions == 0 {
@@ -158,7 +169,7 @@ impl EngineSink {
             latency,
             crate::snapshot::Cumulative {
                 completions: totals.completions,
-                p99_latency_cycles: self.metrics.latency_cycles().p99(),
+                p99_latency_cycles: self.cumulative_p99.1,
                 energy_per_job_nj: cumulative_energy_per_job,
             },
         );
@@ -178,12 +189,15 @@ impl EngineSink {
         let start = self.next_snapshot - self.snapshot_cycles;
         if tail.horizon > start || !tail.points.is_empty() && tail.horizon > 0 {
             // Residual partial span up to the last event.
-            let mut latency = Histogram::new();
-            while let Some((_, hist)) = self.open_latency.pop_front() {
-                latency.merge(&hist);
-            }
+            let latency = std::mem::take(&mut self.open_latency)
+                .into_iter()
+                .map(|(_, hist)| hist)
+                .reduce(|mut merged, hist| {
+                    merged.merge(&hist);
+                    merged
+                });
             let end = tail.horizon.max(start);
-            self.push_snapshot(start, end, &tail.points, &latency);
+            self.push_snapshot(start, end, &tail.points, latency.as_ref());
         }
         let totals = *self.metrics.totals();
         let horizon = tail.horizon;
@@ -575,6 +589,103 @@ mod tests {
             "backdated arrival lands in the open span"
         );
         assert_eq!(report.snapshots[1].end, 70_000);
+    }
+
+    /// Wraps an [`EngineSink`] and checks, as each event closes spans,
+    /// that every new snapshot's cumulative p99 equals a fresh
+    /// histogram's over the completions folded before that event.
+    struct FreshCumulative {
+        sink: EngineSink,
+        completions: Vec<(u64, u64)>,
+        checked: u64,
+    }
+
+    impl TraceSink for FreshCumulative {
+        fn record(&mut self, event: TraceEvent) {
+            let before = self.sink.snapshots_emitted();
+            self.sink.record(event);
+            let closed = (self.sink.snapshots_emitted() - before) as usize;
+            if closed > 0 {
+                let mut fresh = Histogram::new();
+                self.completions.iter().for_each(|&(_, l)| fresh.record(l));
+                let ring = self.sink.snapshots();
+                let kept = ring.len() - closed;
+                for snapshot in ring.skip(kept) {
+                    assert_eq!(
+                        snapshot.cumulative_p99_latency_cycles,
+                        fresh.p99(),
+                        "snapshot {}",
+                        snapshot.index
+                    );
+                    self.checked += 1;
+                }
+            }
+            if let TraceEvent::Completion { at, arrival, .. } = event {
+                self.completions.push((at, at - arrival));
+            }
+        }
+    }
+
+    #[test]
+    fn cached_snapshot_quantiles_match_fresh_histograms_across_quiet_gaps() {
+        // Bursts of 1..=9 same-cycle arrivals (queueing spreads their
+        // latencies), separated alternately by seven quiet snapshot spans
+        // and by a gap inside one span.
+        let mut arrivals = Vec::new();
+        let mut time = 0;
+        for burst in 0..40u64 {
+            for job in 0..=burst % 9 {
+                arrivals.push(Arrival {
+                    time,
+                    benchmark: workloads::BenchmarkId(((burst + job) % 7) as usize),
+                    priority: 0,
+                });
+            }
+            time += if burst % 2 == 0 {
+                7 * 50_000 + 123
+            } else {
+                3_000
+            };
+        }
+        let jobs = arrivals.len() as u64;
+        let mut cfg = config();
+        cfg.max_snapshots = usize::MAX;
+        let mut shadow = FreshCumulative {
+            sink: EngineSink::new(4, &cfg),
+            completions: Vec::new(),
+            checked: 0,
+        };
+        let metrics = Simulator::new(4).run_stream(arrivals, &mut FirstIdle, &mut shadow);
+        assert_eq!(metrics.jobs_completed, jobs);
+        assert!(
+            shadow.checked > 100,
+            "only {} closes checked",
+            shadow.checked
+        );
+        let completions = shadow.completions;
+        let report = shadow.sink.finish(&cfg.slo);
+        let quiet = report
+            .snapshots
+            .iter()
+            .filter(|s| s.completions == 0)
+            .count();
+        assert!(quiet > 100, "only {quiet} completion-free spans");
+        let last = report.snapshots.len() - 1;
+        for (position, snapshot) in report.snapshots.iter().enumerate() {
+            // The final partial span also holds completions at the horizon.
+            let inside = |at: u64| at >= snapshot.start && (at < snapshot.end || position == last);
+            let mut fresh = Histogram::new();
+            completions
+                .iter()
+                .filter(|&&(at, _)| inside(at))
+                .for_each(|&(_, latency)| fresh.record(latency));
+            assert_eq!(fresh.count(), snapshot.completions, "snapshot {position}");
+            assert_eq!(
+                (snapshot.p50_latency_cycles, snapshot.p99_latency_cycles),
+                (fresh.p50(), fresh.p99()),
+                "snapshot {position}"
+            );
+        }
     }
 
     #[test]

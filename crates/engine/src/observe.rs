@@ -19,11 +19,15 @@
 //! * a [`SpanAssembler`] folds the same events into per-job lifecycle
 //!   and per-core occupancy spans for the Perfetto export in
 //!   `hetero-bench`;
-//! * a [`ScrapeServer`] is polled at snapshot boundaries (never per
-//!   event), answering `/metrics` (Prometheus text exposition from the
-//!   live [`MetricsSink`](hetero_telemetry::MetricsSink)), `/health`
-//!   (alert and tier state), and `/snapshot` (the snapshot ring's tail)
-//!   without blocking the simulation loop.
+//! * a [`ScrapeServer`] answers `/metrics` (Prometheus text exposition
+//!   from the live [`MetricsSink`](hetero_telemetry::MetricsSink)),
+//!   `/health` (alert and tier state), and `/snapshot` (the snapshot
+//!   ring's tail) from a thread of its own. The simulation thread does no
+//!   socket I/O: at each snapshot boundary (never per event) it makes one
+//!   relaxed atomic load, and only when a scraper is waiting does it
+//!   render the requested routes and publish them. [`ObservedSink::finish`]
+//!   publishes the final state, which the server keeps answering for as
+//!   long as the caller holds it.
 //!
 //! See DESIGN.md §16 for the architecture and the burn-rate math.
 
@@ -115,10 +119,11 @@ pub struct ObservedOutcome {
     /// Assembled spans, when [`ObserveConfig::assemble_spans`] was on
     /// (already [`finish`](SpanAssembler::finish)ed at the horizon).
     pub spans: Option<SpanAssembler>,
-    /// What the scrape endpoint answered during the run.
+    /// What the scrape endpoint had answered when the run finished.
     pub serve_stats: ServeStats,
-    /// The still-bound scrape server, for post-run lingering (`engine
-    /// --serve` keeps answering after the run completes).
+    /// The still-bound scrape server. Its thread keeps answering from
+    /// the run's final state until it is dropped (`engine --serve`
+    /// lingers on it); [`ScrapeServer::stats`] keeps counting.
     pub server: Option<ScrapeServer>,
 }
 
@@ -136,9 +141,9 @@ pub struct ObservedSink {
     governor: Option<(GovernorHandle, ServingTier)>,
     floor_engaged: bool,
     seen_transitions: usize,
-    /// Scrape-poll cadence in cycles (the engine's snapshot span).
-    poll_cycles: u64,
-    next_poll: u64,
+    /// Scrape-check cadence in cycles (the engine's snapshot span).
+    boundary_cycles: u64,
+    next_boundary: u64,
 }
 
 impl ObservedSink {
@@ -162,7 +167,8 @@ impl ObservedSink {
             (handle, floor)
         });
         let server = observe.serve_port.map(|port| {
-            ScrapeServer::bind(port).unwrap_or_else(|err| panic!("bind 127.0.0.1:{port}: {err}"))
+            ScrapeServer::bind(port, ROUTES)
+                .unwrap_or_else(|err| panic!("bind 127.0.0.1:{port}: {err}"))
         });
         ObservedSink {
             engine: EngineSink::new(num_cores, config),
@@ -172,8 +178,8 @@ impl ObservedSink {
             governor,
             floor_engaged: false,
             seen_transitions: 0,
-            poll_cycles: config.snapshot_cycles(),
-            next_poll: config.snapshot_cycles(),
+            boundary_cycles: config.snapshot_cycles(),
+            next_boundary: config.snapshot_cycles(),
         }
     }
 
@@ -182,18 +188,22 @@ impl ObservedSink {
         self.server.as_ref().map(ScrapeServer::addr)
     }
 
-    /// Answer pending scrapes now (also called automatically at every
-    /// snapshot boundary).
-    pub fn poll_server(&mut self) -> usize {
-        let Some(mut server) = self.server.take() else {
-            return 0;
-        };
+    /// Render the routes waiting scrapers asked for and hand them to the
+    /// server thread; with `finished`, render every route as the final
+    /// state.
+    #[cold]
+    #[inline(never)]
+    fn publish(&self, finished: bool) {
+        let Some(server) = &self.server else { return };
         let engine = &self.engine;
         let burn = self.burn.as_ref();
         let governor = self.governor.as_ref().map(|(handle, _)| handle);
-        let handled = server.poll(&mut |path| respond(path, engine, burn, governor));
-        self.server = Some(server);
-        handled
+        let mut render = |path: &str| respond(path, engine, burn, governor);
+        if finished {
+            server.publish_final(&mut render);
+        } else {
+            server.publish(&mut render);
+        }
     }
 
     /// Fold any alert transitions that fired since the last event into
@@ -223,7 +233,8 @@ impl ObservedSink {
     }
 
     /// Finish the run at the horizon: close the engine report, the
-    /// span assembler, and the alert books.
+    /// span assembler, and the alert books, and publish the final state
+    /// to the scrape server.
     pub fn finish(mut self, config: &EngineConfig) -> ObservedPlaneOutcome {
         let alerts = match &mut self.burn {
             Some(burn) => {
@@ -249,7 +260,7 @@ impl ObservedSink {
         if let Some(assembler) = &mut self.assembler {
             assembler.finish(horizon);
         }
-        self.poll_server();
+        self.publish(true);
         let serve_stats = self
             .server
             .as_ref()
@@ -275,9 +286,9 @@ pub struct ObservedPlaneOutcome {
     pub alerts: AlertReport,
     /// Assembled spans, when enabled.
     pub spans: Option<SpanAssembler>,
-    /// Scrape counters.
+    /// Scrape counters at the finish.
     pub serve_stats: ServeStats,
-    /// The still-bound server, when serving.
+    /// The still-bound server, answering from the final state.
     pub server: Option<ScrapeServer>,
 }
 
@@ -298,33 +309,46 @@ impl TraceSink for ObservedSink {
                 self.apply_transitions();
             }
         }
-        if self.server.is_some() && at >= self.next_poll {
-            // Snapshot-boundary cadence, skipping quiet gaps in one step.
-            let spans_past = (at - self.next_poll) / self.poll_cycles + 1;
-            self.next_poll += spans_past * self.poll_cycles;
-            self.poll_server();
+        if let Some(server) = &self.server {
+            if at >= self.next_boundary {
+                // Snapshot-boundary cadence, skipping quiet gaps in one step.
+                let spans_past = (at - self.next_boundary) / self.boundary_cycles + 1;
+                self.next_boundary += spans_past * self.boundary_cycles;
+                if server.wanted() {
+                    self.publish(false);
+                }
+            }
+        }
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        if let Some(assembler) = &mut self.assembler {
+            assembler.reserve(additional);
         }
     }
 }
 
-/// Route one scrape request against the live engine state.
+/// The scrape routes, rendered by [`respond`].
+const ROUTES: &[&str] = &["/metrics", "/health", "/snapshot"];
+
+/// Render one scrape route against the live engine state.
 fn respond(
     path: &str,
     engine: &EngineSink,
     burn: Option<&BurnEngine>,
     governor: Option<&GovernorHandle>,
-) -> Option<Response> {
+) -> Response {
     match path {
-        "/metrics" => Some(Response::prometheus(
-            engine.metrics().report().to_registry("engine").prometheus(),
-        )),
-        "/health" => Some(Response::json(health_body(
+        "/metrics" => {
+            Response::prometheus(engine.metrics().report().to_registry("engine").prometheus())
+        }
+        "/health" => Response::json(health_body(
             engine,
             burn,
             governor.map(GovernorHandle::report).as_ref(),
-        ))),
-        "/snapshot" => Some(Response::json(snapshot_body(engine))),
-        _ => None,
+        )),
+        "/snapshot" => Response::json(snapshot_body(engine)),
+        other => unreachable!("unrouted scrape path {other}"),
     }
 }
 
@@ -656,32 +680,43 @@ mod tests {
             stream.read_to_string(&mut out).expect("read");
             out
         };
-        // Drive a couple of jobs through the sink so there is state.
-        let simulator = Simulator::new(2);
-        let metrics = simulator.run_stream(
-            OpenLoop::poisson(20.0, 20, 1).take(300),
-            &mut FirstIdle,
-            &mut plane,
+        // The clients ask once the run is 500 arrivals in (so snapshots
+        // exist), and the run then paces its arrivals until all three are
+        // answered: the answers come from boundary publications mid-run,
+        // not from the final state.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{Arc, Mutex};
+        let answered = Arc::new(AtomicUsize::new(0));
+        let clients = Arc::new(Mutex::new(Vec::new()));
+        let (pace, spawned) = (Arc::clone(&answered), Arc::clone(&clients));
+        let arrivals =
+            OpenLoop::poisson(20.0, 20, 1)
+                .take(3_000)
+                .enumerate()
+                .map(move |(index, arrival)| {
+                    if index == 500 {
+                        for &path in ROUTES {
+                            let answered = Arc::clone(&pace);
+                            spawned.lock().unwrap().push(std::thread::spawn(move || {
+                                let reply = fetch(path);
+                                answered.fetch_add(1, Ordering::SeqCst);
+                                reply
+                            }));
+                        }
+                    }
+                    if index >= 500 && pace.load(Ordering::SeqCst) < 3 {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    arrival
+                });
+        let metrics = Simulator::new(2).run_stream(arrivals, &mut FirstIdle, &mut plane);
+        assert_eq!(metrics.jobs_completed, 3_000);
+        assert_eq!(
+            answered.load(Ordering::SeqCst),
+            3,
+            "answered before the end"
         );
-        assert_eq!(metrics.jobs_completed, 300);
-        // Request all three endpoints, then poll explicitly (the run is
-        // over, so no boundary will poll for us).
-        let clients: Vec<std::thread::JoinHandle<String>> = ["/metrics", "/health", "/snapshot"]
-            .into_iter()
-            .map(|path| {
-                let path = path.to_string();
-                std::thread::spawn(move || fetch(&path))
-            })
-            .collect();
-        let mut handled = 0;
-        for _ in 0..200 {
-            handled += plane.poll_server();
-            if handled >= 3 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(handled, 3);
+        let clients = std::mem::take(&mut *clients.lock().unwrap());
         let replies: Vec<String> = clients
             .into_iter()
             .map(|client| client.join().expect("client"))
@@ -698,7 +733,13 @@ mod tests {
             .iter()
             .find(|r| r.contains("\"status\""))
             .expect("health");
-        assert!(health.contains("\"completions\": 300"), "{health}");
+        let completions: u64 = health
+            .split("\"completions\": ")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|n| n.parse().ok())
+            .expect("completions field");
+        assert!(completions < 3_000, "answered mid-run: {health}");
         assert!(health.contains("\"alerts\": ["), "{health}");
         let snapshot = replies
             .iter()
@@ -707,6 +748,89 @@ mod tests {
         assert!(snapshot.contains("\"latest\": {"), "{snapshot}");
         let outcome = plane.finish(&engine_config());
         assert_eq!(outcome.serve_stats.served, 3);
+    }
+
+    #[test]
+    fn adversarial_scrape_clients_neither_stall_nor_perturb_the_run() {
+        let observe = ObserveConfig {
+            rules: vec![BurnRateRule::paging("p99-latency", 100_000)],
+            assemble_spans: true,
+            serve_port: Some(0),
+            ..ObserveConfig::disabled()
+        };
+        // The arrivals are paced so the clients overlap the run; pacing
+        // changes wall time only, never the simulated stream.
+        let arrivals = || {
+            OpenLoop::poisson(20.0, 20, 11)
+                .take(4_000)
+                .enumerate()
+                .map(|(index, arrival)| {
+                    if index < 2_000 {
+                        std::thread::sleep(std::time::Duration::from_micros(100));
+                    }
+                    arrival
+                })
+        };
+        let quiet = run_streaming_observed(
+            &Simulator::new(2),
+            arrivals(),
+            &mut FirstIdle,
+            &engine_config(),
+            &OverloadConfig::disabled(),
+            &ObserveConfig {
+                serve_port: None,
+                ..observe.clone()
+            },
+            None,
+        );
+
+        let mut plane = ObservedSink::new(2, &engine_config(), &observe, None);
+        let addr = plane.serve_addr().expect("server bound");
+        // A slowloris that connects and never sends, and a client that
+        // asks for `/metrics` and never reads the answer.
+        let slowloris = std::net::TcpStream::connect(addr).expect("connect");
+        let mut never_reads = std::net::TcpStream::connect(addr).expect("connect");
+        never_reads
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("write");
+        let flood: Vec<std::thread::JoinHandle<String>> = (0..64)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+                    stream
+                        .write_all(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n")
+                        .expect("write");
+                    let mut out = String::new();
+                    let _ = stream.read_to_string(&mut out);
+                    out
+                })
+            })
+            .collect();
+        let metrics = Simulator::new(2).run_stream(arrivals(), &mut FirstIdle, &mut plane);
+        let outcome = plane.finish(&engine_config());
+        assert_eq!(metrics, quiet.metrics, "scrapes must not perturb the run");
+        assert_eq!(outcome.report.totals, quiet.report.totals);
+
+        for client in flood {
+            let reply = client.join().expect("flood client");
+            assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+        }
+        let server = outcome.server.as_ref().expect("server stays bound");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let total = |stats: ServeStats| stats.served + stats.not_found + stats.rejected;
+        while total(server.stats()) < 66 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let stats = server.stats();
+        assert_eq!(
+            total(stats),
+            66,
+            "every connection accounted for: {stats:?}"
+        );
+        assert!(stats.served >= 64, "{stats:?}");
+        assert!(stats.rejected >= 1, "the slowloris times out: {stats:?}");
+        assert_eq!(stats.not_found, 0);
+        drop((slowloris, never_reads));
     }
 
     #[test]

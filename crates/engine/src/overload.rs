@@ -823,15 +823,17 @@ impl<T: TraceSink + ?Sized> OverloadSink<'_, T> {
 
     /// Flush every remaining shed (the stream is over, so all cycles are
     /// final) and close the governor's books at the observed horizon.
-    /// Must be called before the inner sink's own finish step.
+    /// The inner sink gets the shed count as a [`TraceSink::reserve`]
+    /// hint first. Must be called before the inner sink's own finish
+    /// step.
     pub fn finish(mut self) {
         self.flush_safe_sheds();
-        let remaining: Vec<TraceEvent> = {
+        let remaining = {
             let mut cold = self.governor.cold.borrow_mut();
-            let remaining = cold.pending_sheds.drain(..).collect();
             self.governor.hot.pending.set(0);
-            remaining
+            std::mem::take(&mut cold.pending_sheds)
         };
+        self.inner.reserve(remaining.len());
         let mut horizon = self.last_forwarded;
         for event in remaining {
             horizon = horizon.max(event.at());
@@ -856,6 +858,10 @@ impl<T: TraceSink + ?Sized> TraceSink for OverloadSink<'_, T> {
         if at > self.last_forwarded {
             self.last_forwarded = at;
         }
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.inner.reserve(additional);
     }
 }
 

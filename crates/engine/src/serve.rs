@@ -1,34 +1,45 @@
 //! Std-only HTTP scrape endpoint for live engine runs.
 //!
-//! A [`ScrapeServer`] owns a non-blocking [`TcpListener`] on loopback.
-//! The engine's event path calls [`ScrapeServer::poll`] at snapshot
-//! boundaries (never per event): each poll accepts a bounded number of
-//! pending connections, answers each with one response, and returns —
-//! `WouldBlock` means "no scraper waiting" and costs one syscall, so an
-//! idle server adds nothing measurable to the hot path (bounded by the
-//! gated `engine_observe` perf stage).
+//! A [`ScrapeServer`] owns a loopback [`TcpListener`] on a dedicated std
+//! thread, and every socket call happens there: a blocking accept, the
+//! request read under a read timeout, and the response write under a
+//! write timeout. The simulation thread never touches a socket. At
+//! snapshot boundaries it makes one relaxed atomic load
+//! ([`wanted`](ScrapeServer::wanted)); only when a scraper is waiting does
+//! it render the requested routes and [`publish`](ScrapeServer::publish)
+//! them as immutable `Arc` bodies behind a `Mutex`/`Condvar`. The server
+//! thread answers each request with the first body published after the
+//! request arrived, or, once [`publish_final`](ScrapeServer::publish_final)
+//! has run, with the final state at once. A slow, silent or flooding
+//! client therefore costs the simulation nothing: it only occupies the
+//! server thread, for at most the read timeout per request head and the
+//! write timeout per stalled write.
 //!
 //! The protocol is the minimum Prometheus and `curl` need: `GET` only,
 //! one request per connection, `Connection: close`. Routing is the
-//! caller's: `poll` takes a responder closure from path to
-//! [`Response`], so the server itself stays transport-only and unit
+//! caller's: the server is bound with its route table and asks the
+//! caller to render a route by path, so it stays transport-only and unit
 //! tests can drive it with a plain [`std::net::TcpStream`].
 
-use std::io::{ErrorKind, Read as _, Write as _};
+use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
-
-/// Most connections answered per [`ScrapeServer::poll`] call, bounding
-/// the time a scrape burst can steal from the simulation loop.
-const MAX_ACCEPTS_PER_POLL: usize = 8;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Largest request head read before the request is rejected.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
-/// How long one accepted connection may take to deliver its request
-/// head before it is dropped (scrapers are local; this only guards
-/// against a stuck peer wedging the poll).
+/// How long one accepted connection may take to deliver its whole
+/// request head before it is dropped (scrapers are local; this only
+/// bounds how long a stuck or trickling peer can hold the server
+/// thread).
 const READ_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// How long one response write may block on a peer that does not read
+/// before the connection is dropped.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// One response body with its content type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,7 +68,8 @@ impl Response {
     }
 }
 
-/// Counters of what the server answered, for the run report.
+/// Counters of what the server answered, for the run report. Every
+/// accepted connection lands in exactly one of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests answered with `200 OK`.
@@ -65,29 +77,147 @@ pub struct ServeStats {
     /// Requests answered with `404 Not Found`.
     pub not_found: u64,
     /// Connections dropped or answered with an error status (bad
-    /// request line, unsupported method, oversized or timed-out head).
+    /// request line, unsupported method, oversized or timed-out head,
+    /// a response the peer did not take within the write timeout).
     pub rejected: u64,
 }
 
-/// A non-blocking loopback HTTP listener polled from the engine loop.
+/// The latest rendered body of every route.
+#[derive(Debug)]
+struct Board {
+    /// `(generation rendered at, body)` per route; `None` until first
+    /// rendered.
+    bodies: Vec<Option<(u64, Arc<Response>)>>,
+    /// Publications so far.
+    generation: u64,
+    /// The run is over: every body is the final state.
+    finished: bool,
+    /// The server is shutting down: waiting requests give up and the
+    /// accept loop ends.
+    closed: bool,
+}
+
+/// State shared by the server thread and the simulation thread.
+#[derive(Debug)]
+struct Shared {
+    routes: &'static [&'static str],
+    /// Bit `i` set: a request for `routes[i]` waits for a fresh body.
+    /// `Relaxed` throughout: the mask publishes no other data (bodies
+    /// travel through `board`'s mutex), and a bit seen late only
+    /// defers a render to the next boundary.
+    wanted: AtomicU32,
+    board: Mutex<Board>,
+    published: Condvar,
+    served: AtomicU64,
+    not_found: AtomicU64,
+    rejected: AtomicU64,
+}
+
+impl Shared {
+    /// Every update assigns whole fields, so a board left behind by a
+    /// panicking holder is still valid and the guard is recovered.
+    fn board(&self) -> MutexGuard<'_, Board> {
+        self.board
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Block until `route` has a body rendered after this call, or the
+    /// final state; `None` when the server shuts down first.
+    fn await_body(&self, route: usize) -> Option<Arc<Response>> {
+        let mut board = self.board();
+        let asked_at = board.generation;
+        if !board.finished {
+            self.wanted.fetch_or(1 << route, Ordering::Relaxed);
+        }
+        loop {
+            if let Some((rendered_at, body)) = &board.bodies[route] {
+                if *rendered_at > asked_at || board.finished {
+                    return Some(Arc::clone(body));
+                }
+            }
+            if board.closed {
+                return None;
+            }
+            board = self
+                .published
+                .wait(board)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
+    }
+
+    /// Render the routes in `mask` and publish them as one generation.
+    fn publish(&self, mask: u32, finished: bool, render: &mut dyn FnMut(&str) -> Response) {
+        let rendered: Vec<(usize, Arc<Response>)> = (0..self.routes.len())
+            .filter(|route| mask & (1 << route) != 0)
+            .map(|route| (route, Arc::new(render(self.routes[route]))))
+            .collect();
+        let mut board = self.board();
+        board.generation += 1;
+        let generation = board.generation;
+        for (route, body) in rendered {
+            board.bodies[route] = Some((generation, body));
+        }
+        board.finished |= finished;
+        drop(board);
+        self.published.notify_all();
+    }
+
+    fn stats(&self) -> ServeStats {
+        ServeStats {
+            served: self.served.load(Ordering::Relaxed),
+            not_found: self.not_found.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A loopback HTTP listener answering from its own thread with bodies
+/// the simulation publishes at snapshot boundaries.
 #[derive(Debug)]
 pub struct ScrapeServer {
-    listener: TcpListener,
     addr: SocketAddr,
-    stats: ServeStats,
+    shared: Arc<Shared>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl ScrapeServer {
     /// Bind `127.0.0.1:port` (`port = 0` picks a free port; read the
-    /// outcome back with [`port`](Self::port)).
-    pub fn bind(port: u16) -> std::io::Result<Self> {
+    /// outcome back with [`port`](Self::port)) and start the server
+    /// thread. `routes` are the paths the caller renders; any other path
+    /// is answered `404` without involving the caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than 32 routes.
+    pub fn bind(port: u16, routes: &'static [&'static str]) -> std::io::Result<Self> {
+        assert!(routes.len() <= 32, "at most 32 routes");
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let shared = Arc::new(Shared {
+            routes,
+            wanted: AtomicU32::new(0),
+            board: Mutex::new(Board {
+                bodies: vec![None; routes.len()],
+                generation: 0,
+                finished: false,
+                closed: false,
+            }),
+            published: Condvar::new(),
+            served: AtomicU64::new(0),
+            not_found: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+        });
+        let thread = std::thread::Builder::new()
+            .name(format!("scrape-{}", addr.port()))
+            .spawn({
+                let shared = Arc::clone(&shared);
+                move || serve(&listener, &shared)
+            })?;
         Ok(ScrapeServer {
-            listener,
             addr,
-            stats: ServeStats::default(),
+            shared,
+            thread: Some(thread),
         })
     }
 
@@ -101,72 +231,106 @@ impl ScrapeServer {
         self.addr.port()
     }
 
-    /// What the server has answered so far.
+    /// What the server has answered so far (live: the server thread
+    /// keeps counting until the server is dropped).
     pub fn stats(&self) -> ServeStats {
-        self.stats
+        self.shared.stats()
     }
 
-    /// Accept and answer every pending connection (up to the per-poll
-    /// bound). `respond` maps a request path to `Some(response)` or
-    /// `None` (answered `404`). Returns the number of connections
-    /// handled; `0` is the idle fast path.
-    pub fn poll(&mut self, respond: &mut dyn FnMut(&str) -> Option<Response>) -> usize {
-        let mut handled = 0;
-        while handled < MAX_ACCEPTS_PER_POLL {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(err) if err.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            };
-            self.answer(stream, respond);
-            handled += 1;
+    /// `true` when a request waits for a fresh body. One relaxed atomic
+    /// load: the whole per-boundary cost of an idle server.
+    #[inline]
+    pub fn wanted(&self) -> bool {
+        self.shared.wanted.load(Ordering::Relaxed) != 0
+    }
+
+    /// Render every route a request waits for and publish the bodies.
+    /// `render` maps a route path to its response.
+    pub fn publish(&self, render: &mut dyn FnMut(&str) -> Response) {
+        let mask = self.shared.wanted.swap(0, Ordering::Relaxed);
+        if mask != 0 {
+            self.shared.publish(mask, false, render);
         }
-        handled
     }
 
-    fn answer(&mut self, mut stream: TcpStream, respond: &mut dyn FnMut(&str) -> Option<Response>) {
-        // The accepted stream inherits non-blocking from the listener on
-        // some platforms; reads below want the bounded-blocking mode.
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-        let head = match read_request_head(&mut stream) {
-            Some(head) => head,
-            None => {
-                self.stats.rejected += 1;
-                let _ = stream.write_all(http_error(400, "bad request").as_bytes());
-                return;
+    /// Render every route once more as the final state: waiting and
+    /// later requests are answered from it without further publishing.
+    pub fn publish_final(&self, render: &mut dyn FnMut(&str) -> Response) {
+        self.shared.wanted.store(0, Ordering::Relaxed);
+        let all = ((1u64 << self.shared.routes.len()) - 1) as u32;
+        self.shared.publish(all, true, render);
+    }
+}
+
+impl Drop for ScrapeServer {
+    fn drop(&mut self) {
+        self.shared.board().closed = true;
+        self.shared.published.notify_all();
+        // Wake the blocking accept with one throwaway connection; the
+        // server thread sees the board closed and leaves uncounted.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(100));
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The server thread: answer connections one at a time until shutdown.
+fn serve(listener: &TcpListener, shared: &Shared) {
+    for stream in listener.incoming() {
+        if shared.board().closed {
+            return;
+        }
+        match stream {
+            Ok(mut stream) => {
+                answer(shared, &mut stream).fetch_add(1, Ordering::Relaxed);
+                // The connection closes only now, so a client that has
+                // read to EOF finds itself counted.
+                drop(stream);
             }
-        };
-        match parse_request_line(&head) {
-            Some(("GET", path)) => match respond(path) {
-                Some(response) => {
-                    self.stats.served += 1;
-                    let _ = stream.write_all(http_ok(&response).as_bytes());
-                }
-                None => {
-                    self.stats.not_found += 1;
-                    let _ = stream.write_all(http_error(404, "not found").as_bytes());
-                }
+            // Out of descriptors or a connection reset before accept:
+            // back off briefly rather than spin.
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+        }
+    }
+}
+
+/// Answer one connection; returns the [`ServeStats`] counter it lands in.
+fn answer<'s>(shared: &'s Shared, stream: &mut TcpStream) -> &'s AtomicU64 {
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let head = read_request_head(stream);
+    let (reply, answered) = match head.as_deref().and_then(parse_request_line) {
+        Some(("GET", path)) => match shared.routes.iter().position(|route| *route == path) {
+            Some(route) => match shared.await_body(route) {
+                Some(response) => (http_ok(&response), &shared.served),
+                None => return &shared.rejected,
             },
-            Some((_, _)) => {
-                self.stats.rejected += 1;
-                let _ = stream.write_all(http_error(405, "method not allowed").as_bytes());
-            }
-            None => {
-                self.stats.rejected += 1;
-                let _ = stream.write_all(http_error(400, "bad request").as_bytes());
-            }
-        }
-        let _ = stream.flush();
+            None => (http_error(404, "not found"), &shared.not_found),
+        },
+        Some(_) => (http_error(405, "method not allowed"), &shared.rejected),
+        None => (http_error(400, "bad request"), &shared.rejected),
+    };
+    match stream
+        .write_all(reply.as_bytes())
+        .and_then(|()| stream.flush())
+    {
+        Ok(()) => answered,
+        Err(_) => &shared.rejected,
     }
 }
 
 /// Read until the end of the request head (`\r\n\r\n`), the size bound,
-/// or the read timeout. Returns `None` on anything but a complete head.
+/// or [`READ_TIMEOUT`] after the call, however the peer spaces its
+/// bytes. Returns `None` on anything but a complete head.
 fn read_request_head(stream: &mut TcpStream) -> Option<String> {
+    let deadline = Instant::now() + READ_TIMEOUT;
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return None;
+        }
         match stream.read(&mut chunk) {
             Ok(0) => return None,
             Ok(n) => {
@@ -224,6 +388,8 @@ fn http_error(code: u16, reason: &str) -> String {
 mod tests {
     use super::*;
 
+    const ROUTES: &[&str] = &["/metrics", "/health"];
+
     fn get(addr: SocketAddr, path: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
@@ -234,30 +400,35 @@ mod tests {
         out
     }
 
-    fn respond(path: &str) -> Option<Response> {
+    fn render(path: &str) -> Response {
         match path {
-            "/metrics" => Some(Response::prometheus("jobs_total 7\n".to_string())),
-            "/health" => Some(Response::json("{\"status\": \"ok\"}".to_string())),
-            _ => None,
+            "/metrics" => Response::prometheus("jobs_total 7\n".to_string()),
+            _ => Response::json("{\"status\": \"ok\"}".to_string()),
         }
     }
 
     #[test]
-    fn poll_answers_pending_requests_and_idles_cheaply() {
-        let mut server = ScrapeServer::bind(0).expect("bind loopback");
-        assert_eq!(server.poll(&mut respond), 0, "no scraper yet");
+    fn published_bodies_answer_waiting_requests() {
+        let server = ScrapeServer::bind(0, ROUTES).expect("bind loopback");
+        assert!(!server.wanted(), "no scraper yet");
         let addr = server.addr();
         let client = std::thread::spawn(move || get(addr, "/metrics"));
-        // The client connects asynchronously; poll until it is served.
-        let mut handled = 0;
-        for _ in 0..100 {
-            handled += server.poll(&mut respond);
-            if handled > 0 {
+        // The request reaches the server thread asynchronously; publish
+        // once it has raised the flag, as a snapshot boundary would.
+        for _ in 0..2_000 {
+            if server.wanted() {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(5));
+            std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(handled, 1);
+        assert!(server.wanted(), "the waiting request raises the flag");
+        let mut rendered = Vec::new();
+        server.publish(&mut |path| {
+            rendered.push(path.to_string());
+            render(path)
+        });
+        assert_eq!(rendered, ["/metrics"], "only the requested route renders");
+        assert!(!server.wanted());
         let reply = client.join().expect("client thread");
         assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
         assert!(reply.contains("Content-Type: text/plain; version=0.0.4"));
@@ -266,34 +437,75 @@ mod tests {
     }
 
     #[test]
-    fn unknown_paths_get_404_and_non_get_405() {
-        let mut server = ScrapeServer::bind(0).expect("bind loopback");
+    fn the_final_state_answers_without_publishing() {
+        let server = ScrapeServer::bind(0, ROUTES).expect("bind loopback");
+        server.publish_final(&mut render);
         let addr = server.addr();
-        let missing = std::thread::spawn(move || get(addr, "/nope"));
-        let posted = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            stream
-                .write_all(b"POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
-                .expect("write");
-            let mut out = String::new();
-            stream.read_to_string(&mut out).expect("read");
-            out
-        });
-        let mut handled = 0;
-        for _ in 0..200 {
-            handled += server.poll(&mut respond);
-            if handled >= 2 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(handled, 2);
-        assert!(missing.join().unwrap().starts_with("HTTP/1.1 404"));
-        assert!(posted.join().unwrap().starts_with("HTTP/1.1 405"));
+        let health = get(addr, "/health");
+        assert!(health.ends_with("{\"status\": \"ok\"}"), "{health}");
+        assert!(get(addr, "/metrics").ends_with("jobs_total 7\n"));
+        assert!(!server.wanted(), "final bodies need no render");
+        assert_eq!(server.stats().served, 2);
+    }
+
+    #[test]
+    fn unknown_paths_get_404_and_non_get_405() {
+        let server = ScrapeServer::bind(0, ROUTES).expect("bind loopback");
+        let addr = server.addr();
+        // Neither needs the simulation: both answer with nothing published.
+        assert!(get(addr, "/nope").starts_with("HTTP/1.1 404"));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(b"POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("write");
+        let mut posted = String::new();
+        stream.read_to_string(&mut posted).expect("read");
+        assert!(posted.starts_with("HTTP/1.1 405"), "{posted}");
         let stats = server.stats();
         assert_eq!(stats.not_found, 1);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.served, 0);
+        assert!(!server.wanted());
+    }
+
+    #[test]
+    fn a_trickled_head_is_cut_off_at_the_read_deadline() {
+        let server = ScrapeServer::bind(0, ROUTES).expect("bind loopback");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let started = Instant::now();
+        // One byte per 50 ms never finishes the head; each byte arrives
+        // well inside a per-read timeout, so only a whole-head deadline
+        // ends it.
+        for byte in b"GET /metrics HTTP/1.1\r\n".iter().cycle() {
+            if stream.write_all(&[*byte]).is_err() || started.elapsed() > Duration::from_secs(5) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        // The server counts the connection before closing it, and the
+        // writes fail only once it has closed.
+        assert!(started.elapsed() < Duration::from_secs(2), "cut off late");
+        assert_eq!(server.stats().rejected, 1);
+    }
+
+    #[test]
+    fn dropping_the_server_releases_a_waiting_request() {
+        let server = ScrapeServer::bind(0, ROUTES).expect("bind loopback");
+        let addr = server.addr();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .write_all(b"GET /metrics HTTP/1.1\r\n\r\n")
+                .expect("write");
+            let mut out = String::new();
+            let _ = stream.read_to_string(&mut out);
+            out
+        });
+        while !server.wanted() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(server);
+        assert_eq!(client.join().expect("client thread"), "");
     }
 
     #[test]

@@ -60,14 +60,14 @@ pub(crate) struct Cumulative {
 
 impl Snapshot {
     /// Fold a span's drained windows and its windowed latency histogram
-    /// into one record. `cumulative` carries the caller's run-wide state
-    /// at the close.
+    /// (`None` when no job completed in the span) into one record.
+    /// `cumulative` carries the caller's run-wide state at the close.
     pub(crate) fn from_points(
         index: u64,
         start: u64,
         end: u64,
         points: &[SeriesPoint],
-        latency: &Histogram,
+        latency: Option<&Histogram>,
         cumulative: Cumulative,
     ) -> Self {
         debug_assert!(end >= start, "snapshot span is reversed: [{start}, {end})");
@@ -85,8 +85,8 @@ impl Snapshot {
             ready_depth: 0,
             energy_nj: 0.0,
             mean_utilisation: 0.0,
-            p50_latency_cycles: latency.p50(),
-            p99_latency_cycles: latency.p99(),
+            p50_latency_cycles: latency.map_or(0, Histogram::p50),
+            p99_latency_cycles: latency.map_or(0, Histogram::p99),
             cumulative_completions: cumulative.completions,
             cumulative_p99_latency_cycles: cumulative.p99_latency_cycles,
             cumulative_energy_per_job_nj: cumulative.energy_per_job_nj,
@@ -149,13 +149,18 @@ mod tests {
     #[test]
     fn spans_are_constructed_in_order_and_measured_exactly() {
         let latency = Histogram::new();
-        let snapshot = Snapshot::from_points(3, 30_000, 40_000, &[], &latency, cumulative());
+        let snapshot = Snapshot::from_points(3, 30_000, 40_000, &[], Some(&latency), cumulative());
         assert_eq!(snapshot.span_cycles(), 10_000);
         // A zero-length final span (run ends exactly on a boundary) is
         // legal and must not underflow.
-        let empty = Snapshot::from_points(4, 40_000, 40_000, &[], &latency, cumulative());
+        let empty = Snapshot::from_points(4, 40_000, 40_000, &[], None, cumulative());
         assert_eq!(empty.span_cycles(), 0);
         assert_eq!(empty.throughput_jobs_per_mcycle(), 0.0);
+        // No histogram reads exactly as an empty one.
+        assert_eq!(
+            (empty.p50_latency_cycles, empty.p99_latency_cycles),
+            (snapshot.p50_latency_cycles, snapshot.p99_latency_cycles)
+        );
     }
 
     #[test]
@@ -164,7 +169,6 @@ mod tests {
     fn reversed_spans_are_rejected_in_debug_builds() {
         // `span_cycles` saturates, which would silently turn a reversed
         // span into "zero cycles"; the constructor refuses it instead.
-        let latency = Histogram::new();
-        let _ = Snapshot::from_points(0, 40_000, 30_000, &[], &latency, cumulative());
+        let _ = Snapshot::from_points(0, 40_000, 30_000, &[], None, cumulative());
     }
 }

@@ -301,6 +301,14 @@ pub trait TraceSink {
     fn enabled(&self) -> bool {
         true
     }
+
+    /// Hint that about `additional` more events are about to be recorded
+    /// in one burst, so a sink that retains per-event records can grow
+    /// its storage once (in the spirit of `Extend::extend_reserve`). A
+    /// no-op by default; adaptors forward it to the sink they wrap.
+    fn reserve(&mut self, additional: usize) {
+        let _ = additional;
+    }
 }
 
 /// The zero-overhead default sink: drops everything.

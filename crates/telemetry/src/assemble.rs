@@ -19,6 +19,7 @@
 //! `crates/bench` assert exactly this arithmetic against the raw stream.
 
 use multicore_sim::{CoreId, DegradedComponent, TraceEvent, TraceSink};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use workloads::BenchmarkId;
@@ -215,8 +216,10 @@ pub struct Mark {
     pub seq: Option<u64>,
     /// The core involved, when any.
     pub core: Option<CoreId>,
-    /// Free-form qualifier (fault kind, fallback level, alert name).
-    pub detail: Option<String>,
+    /// Free-form qualifier (fault kind, fallback level, shed reason,
+    /// alert name). Static names are borrowed, so marks for sheds,
+    /// faults and fallbacks do not allocate.
+    pub detail: Option<Cow<'static, str>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -315,7 +318,7 @@ impl SpanAssembler {
             label: "alert",
             seq: None,
             core: None,
-            detail: Some(format!("{rule}:{transition}")),
+            detail: Some(Cow::Owned(format!("{rule}:{transition}"))),
         });
     }
 
@@ -393,6 +396,13 @@ impl SpanAssembler {
 }
 
 impl TraceSink for SpanAssembler {
+    /// A burst of sheds adds one job span and one mark per event, so
+    /// both vectors grow once for the whole burst.
+    fn reserve(&mut self, additional: usize) {
+        self.job_spans.reserve(additional);
+        self.marks.reserve(additional);
+    }
+
     fn record(&mut self, event: TraceEvent) {
         self.last_at = self.last_at.max(event.at());
         match event {
@@ -478,7 +488,7 @@ impl TraceSink for SpanAssembler {
                     label: "fault",
                     seq: Some(seq),
                     core: Some(core),
-                    detail: Some(kind.name().to_string()),
+                    detail: Some(Cow::Borrowed(kind.name())),
                 });
             }
             TraceEvent::Retry {
@@ -516,7 +526,7 @@ impl TraceSink for SpanAssembler {
                         label: "retry",
                         seq: Some(seq),
                         core: None,
-                        detail: Some(format!("attempt {attempt}")),
+                        detail: Some(Cow::Owned(format!("attempt {attempt}"))),
                     });
                 }
             }
@@ -526,7 +536,7 @@ impl TraceSink for SpanAssembler {
                     label: "fallback",
                     seq: Some(seq),
                     core: None,
-                    detail: Some(level.name().to_string()),
+                    detail: Some(Cow::Borrowed(level.name())),
                 });
             }
             TraceEvent::Shed {
@@ -551,7 +561,7 @@ impl TraceSink for SpanAssembler {
                     label: "shed",
                     seq: Some(offered),
                     core: None,
-                    detail: Some(reason.name().to_string()),
+                    detail: Some(Cow::Borrowed(reason.name())),
                 });
             }
             TraceEvent::IdleSpan { core, from, to, .. } => {
@@ -594,7 +604,7 @@ impl TraceSink for SpanAssembler {
                         },
                         seq: None,
                         core: None,
-                        detail: Some(health.name().to_string()),
+                        detail: Some(Cow::Borrowed(health.name())),
                     });
                 }
             },
@@ -813,6 +823,86 @@ mod tests {
         // Idempotent.
         assembler.finish(2_000);
         assert_eq!(assembler.job_spans().len(), 3);
+    }
+
+    #[test]
+    fn mark_details_read_exactly_as_exported() {
+        use multicore_sim::{FallbackLevel, FaultKind, PredictorHealth, ShedReason};
+
+        let mut assembler = SpanAssembler::new();
+        assembler.reserve(8);
+        assembler.record(arrival(0, 10));
+        assembler.record(placement(0, 1, 20));
+        assembler.record(TraceEvent::Fault {
+            seq: 0,
+            benchmark: BenchmarkId(1),
+            core: CoreId(1),
+            at: 30,
+            kind: FaultKind::Crash,
+            total_cycles: 100,
+            executed_cycles: 10,
+            dynamic_nj: 1.0,
+            static_nj: 0.5,
+        });
+        assembler.record(TraceEvent::Retry {
+            seq: 0,
+            benchmark: BenchmarkId(1),
+            at: 30,
+            attempt: 2,
+            ready_at: 40,
+            abandoned: false,
+        });
+        assembler.record(TraceEvent::Fallback {
+            seq: 0,
+            benchmark: BenchmarkId(1),
+            at: 50,
+            level: FallbackLevel::Knn,
+        });
+        assembler.record(TraceEvent::Degraded {
+            at: 60,
+            component: DegradedComponent::Predictor(PredictorHealth::AnnDown),
+            online: false,
+        });
+        for (offered, reason) in [
+            (1, ShedReason::QueueFull),
+            (2, ShedReason::Deadline),
+            (3, ShedReason::Priority),
+            (4, ShedReason::RateLimit),
+        ] {
+            assembler.record(TraceEvent::Shed {
+                offered,
+                benchmark: BenchmarkId(1),
+                at: 70,
+                priority: 0,
+                reason,
+            });
+        }
+        assembler.note_alert(80, "p99", "firing");
+        let marks: Vec<(&str, Option<&str>)> = assembler
+            .marks()
+            .iter()
+            .map(|mark| (mark.label, mark.detail.as_deref()))
+            .collect();
+        assert_eq!(
+            marks,
+            [
+                ("fault", Some("crash")),
+                ("retry", Some("attempt 2")),
+                ("fallback", Some("knn")),
+                ("predictor_down", Some("ann_down")),
+                ("shed", Some("queue_full")),
+                ("shed", Some("deadline")),
+                ("shed", Some("priority")),
+                ("shed", Some("rate_limit")),
+                ("alert", Some("p99:firing")),
+            ]
+        );
+        // Static names are borrowed, not copied per mark.
+        assert!(assembler
+            .marks()
+            .iter()
+            .filter(|mark| matches!(mark.label, "fault" | "fallback" | "shed"))
+            .all(|mark| matches!(mark.detail, Some(Cow::Borrowed(_)))));
     }
 
     #[test]

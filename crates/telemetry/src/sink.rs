@@ -341,6 +341,9 @@ pub struct MetricsSink {
     windows: VecDeque<WindowAcc>,
     /// Global index of the first retained window (0 until drained).
     window_base: usize,
+    /// Per-core buffers of drained windows, reused by the next windows
+    /// opened, so a streaming run stops allocating one per window.
+    spare_cores: Vec<Vec<CoreAcc>>,
     /// Windows `[0, depth_recorded)` have their boundary depth sampled.
     depth_recorded: usize,
     /// `(depth_recorded + 1) * interval`, cached so the per-event cursor
@@ -382,6 +385,7 @@ impl MetricsSink {
             num_cores,
             windows: VecDeque::new(),
             window_base: 0,
+            spare_cores: Vec::new(),
             depth_recorded: 0,
             next_boundary: interval_cycles,
             cur_win: 0,
@@ -541,8 +545,11 @@ impl MetricsSink {
         let rel = idx - self.window_base;
         if rel >= self.windows.len() {
             let num_cores = self.num_cores;
+            let spare = &mut self.spare_cores;
             self.windows.resize_with(rel + 1, || WindowAcc {
-                cores: vec![CoreAcc::default(); num_cores],
+                cores: spare
+                    .pop()
+                    .unwrap_or_else(|| vec![CoreAcc::default(); num_cores]),
                 ..WindowAcc::default()
             });
         }
@@ -604,6 +611,11 @@ impl MetricsSink {
                     idle_energy_nj: slot.idle_energy_nj,
                     utilisation: busy as f64 / self.interval as f64,
                 });
+            }
+            let mut spare = acc.cores;
+            if spare.len() == self.num_cores {
+                spare.fill(CoreAcc::default());
+                self.spare_cores.push(spare);
             }
             points.push(SeriesPoint {
                 index,

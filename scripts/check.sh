@@ -44,6 +44,11 @@ cargo build --release --offline -p hetero-bench
 # benchmark runs.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench storm_observed (1 s; conservation, digest-repeat and bound checks)"
+# Exits non-zero when any episode breaks conservation, a repeat changes
+# the digest, or the in-flight bound is exceeded.
+./perfbench/target/release/perfbench --workload storm_observed --seconds 1 --trace 0
+
 echo "==> perf_pipeline --smoke (release; every stage end to end, no gate)"
 ./target/release/perf_pipeline --smoke
 
