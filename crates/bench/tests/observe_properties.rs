@@ -109,7 +109,6 @@ proptest! {
         prop_assert!(outcome.alerts.rules.is_empty());
         prop_assert!(outcome.alerts.transitions.is_empty());
         prop_assert!(outcome.server.is_none());
-        prop_assert_eq!(outcome.serve_stats.served, 0);
         prop_assert_eq!(outcome.overload.shed(), 0);
         prop_assert_eq!(outcome.overload.tier_transitions, 0);
     }

@@ -33,7 +33,7 @@
 
 use crate::engine::{EngineConfig, EngineReport, EngineSink};
 use crate::overload::{AdmissionGate, GovernorHandle, OverloadConfig, OverloadReport};
-use crate::serve::{Response, ScrapeServer, ServeStats};
+use crate::serve::{Response, ScrapeServer};
 use hetero_telemetry::{AlertState, AlertTransition, BurnEngine, BurnRateRule, SpanAssembler};
 use multicore_sim::{
     tier_cell, RunMetrics, Scheduler, ServingTier, Simulator, TierCell, TraceEvent, TraceSink,
@@ -119,11 +119,9 @@ pub struct ObservedOutcome {
     /// Assembled spans, when [`ObserveConfig::assemble_spans`] was on
     /// (already [`finish`](SpanAssembler::finish)ed at the horizon).
     pub spans: Option<SpanAssembler>,
-    /// What the scrape endpoint had answered when the run finished.
-    pub serve_stats: ServeStats,
     /// The still-bound scrape server. Its thread keeps answering from
     /// the run's final state until it is dropped (`engine --serve`
-    /// lingers on it); [`ScrapeServer::stats`] keeps counting.
+    /// lingers on it); [`ScrapeServer::stats`] counts what it answered.
     pub server: Option<ScrapeServer>,
 }
 
@@ -234,7 +232,8 @@ impl ObservedSink {
 
     /// Finish the run at the horizon: close the engine report, the
     /// span assembler, and the alert books, and publish the final state
-    /// to the scrape server.
+    /// to the scrape server (its `/snapshot` shows the last closed
+    /// boundary; the trailing partial span goes to the report only).
     pub fn finish(mut self, config: &EngineConfig) -> ObservedPlaneOutcome {
         let alerts = match &mut self.burn {
             Some(burn) => {
@@ -261,16 +260,10 @@ impl ObservedSink {
             assembler.finish(horizon);
         }
         self.publish(true);
-        let serve_stats = self
-            .server
-            .as_ref()
-            .map(ScrapeServer::stats)
-            .unwrap_or_default();
         ObservedPlaneOutcome {
             report: self.engine.finish(&config.slo),
             alerts,
             spans: self.assembler,
-            serve_stats,
             server: self.server,
         }
     }
@@ -286,8 +279,6 @@ pub struct ObservedPlaneOutcome {
     pub alerts: AlertReport,
     /// Assembled spans, when enabled.
     pub spans: Option<SpanAssembler>,
-    /// Scrape counters at the finish.
-    pub serve_stats: ServeStats,
     /// The still-bound server, answering from the final state.
     pub server: Option<ScrapeServer>,
 }
@@ -515,7 +506,6 @@ where
         overload: governor.report(),
         alerts: plane.alerts,
         spans: plane.spans,
-        serve_stats: plane.serve_stats,
         server: plane.server,
     }
 }
@@ -739,15 +729,66 @@ mod tests {
             .and_then(|rest| rest.split(',').next())
             .and_then(|n| n.parse().ok())
             .expect("completions field");
-        assert!(completions < 3_000, "answered mid-run: {health}");
+        assert!(
+            0 < completions && completions < 3_000,
+            "answered mid-run: {health}"
+        );
         assert!(health.contains("\"alerts\": ["), "{health}");
         let snapshot = replies
             .iter()
             .find(|r| r.contains("\"emitted\""))
             .expect("snapshot");
         assert!(snapshot.contains("\"latest\": {"), "{snapshot}");
+
+        // One more arrival that never completes, so the final `/health`
+        // must count completions, not arrivals.
+        plane.record(TraceEvent::Arrival {
+            seq: 3_000,
+            benchmark: workloads::BenchmarkId(0),
+            at: plane.engine.metrics().last_event_at() + 1,
+            priority: 0,
+        });
+        // After the finish the server answers from the final state, with
+        // the run's exact counts.
         let outcome = plane.finish(&engine_config());
-        assert_eq!(outcome.serve_stats.served, 3);
+        let server = outcome.server.as_ref().expect("server stays bound");
+        assert_eq!(server.stats().served, 3);
+        let health = fetch("/health");
+        assert!(health.contains("\"completions\": 3000,"), "{health}");
+        assert!(health.contains("\"sheds\": 0"), "{health}");
+        // `/snapshot` shows the last closed boundary; the report adds the
+        // trailing partial span after it.
+        let snapshot = fetch("/snapshot");
+        let index: u64 = snapshot
+            .split("\"index\": ")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|n| n.parse().ok())
+            .expect("index field");
+        let closed = outcome
+            .report
+            .snapshots
+            .iter()
+            .find(|snap| snap.index == index)
+            .expect("a retained snapshot");
+        assert_eq!(outcome.report.snapshots_emitted, index + 2, "{snapshot}");
+        assert!(
+            snapshot.contains(&format!("\"completions\": {}, ", closed.completions)),
+            "{snapshot}"
+        );
+        assert!(
+            snapshot.contains(&format!(
+                "\"cumulative_completions\": {}}}",
+                closed.cumulative_completions
+            )),
+            "{snapshot}"
+        );
+        let metrics_reply = fetch("/metrics");
+        assert!(
+            metrics_reply.contains("sched_completions_total{system=\"engine\"} 3000\n"),
+            "{metrics_reply}"
+        );
+        assert_eq!(server.stats().served, 6);
     }
 
     #[test]
@@ -817,7 +858,7 @@ mod tests {
         }
         let server = outcome.server.as_ref().expect("server stays bound");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let total = |stats: ServeStats| stats.served + stats.not_found + stats.rejected;
+        let total = |stats: crate::ServeStats| stats.served + stats.not_found + stats.rejected;
         while total(server.stats()) < 66 && std::time::Instant::now() < deadline {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }

@@ -1,19 +1,26 @@
 //! Std-only HTTP scrape endpoint for live engine runs.
 //!
 //! A [`ScrapeServer`] owns a loopback [`TcpListener`] on a dedicated std
-//! thread, and every socket call happens there: a blocking accept, the
-//! request read under a read timeout, and the response write under a
-//! write timeout. The simulation thread never touches a socket. At
-//! snapshot boundaries it makes one relaxed atomic load
-//! ([`wanted`](ScrapeServer::wanted)); only when a scraper is waiting does
+//! thread, and every socket call happens there: the accept, the request
+//! read under a deadline for the whole head, and the response write
+//! under a deadline for the whole response. The simulation thread never
+//! touches a socket. At snapshot boundaries it makes one relaxed atomic
+//! load ([`wanted`](ScrapeServer::wanted)); only when a scraper is waiting does
 //! it render the requested routes and [`publish`](ScrapeServer::publish)
 //! them as immutable `Arc` bodies behind a `Mutex`/`Condvar`. The server
 //! thread answers each request with the first body published after the
 //! request arrived, or, once [`publish_final`](ScrapeServer::publish_final)
 //! has run, with the final state at once. A slow, silent or flooding
 //! client therefore costs the simulation nothing: it only occupies the
-//! server thread, for at most the read timeout per request head and the
-//! write timeout per stalled write.
+//! server thread, for at most the read deadline plus the write deadline
+//! per connection.
+//!
+//! The listener is non-blocking. With nothing to accept, the server
+//! thread waits on the board's condition variable for [`ACCEPT_POLL`],
+//! so shutdown wakes it at once and never depends on a connection
+//! getting through (a full backlog or an exhausted descriptor table
+//! cannot wedge a drop): dropping the server joins its thread within
+//! the two deadlines.
 //!
 //! The protocol is the minimum Prometheus and `curl` need: `GET` only,
 //! one request per connection, `Connection: close`. Routing is the
@@ -37,9 +44,14 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// thread).
 const READ_TIMEOUT: Duration = Duration::from_millis(200);
 
-/// How long one response write may block on a peer that does not read
-/// before the connection is dropped.
+/// How long one accepted connection may take to take its whole
+/// response before it is dropped, however slowly the peer reads.
 const WRITE_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// How long the server thread waits between accept attempts when none
+/// is pending (shutdown cuts the wait short). Bounds the extra latency a
+/// new scrape sees; costs the simulation nothing.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// One response body with its content type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +90,8 @@ pub struct ServeStats {
     pub not_found: u64,
     /// Connections dropped or answered with an error status (bad
     /// request line, unsupported method, oversized or timed-out head,
-    /// a response the peer did not take within the write timeout).
+    /// a response the peer did not take within the write deadline, a
+    /// request still waiting when the server shut down).
     pub rejected: u64,
 }
 
@@ -114,6 +127,14 @@ struct Shared {
 }
 
 impl Shared {
+    /// Wait up to `timeout`, returning early once the server closes.
+    fn idle(&self, timeout: Duration) {
+        let board = self.board();
+        let _ = self
+            .published
+            .wait_timeout_while(board, timeout, |board| !board.closed);
+    }
+
     /// Every update assigns whole fields, so a board left behind by a
     /// panicking holder is still valid and the guard is recovered.
     fn board(&self) -> MutexGuard<'_, Board> {
@@ -193,6 +214,7 @@ impl ScrapeServer {
     pub fn bind(port: u16, routes: &'static [&'static str]) -> std::io::Result<Self> {
         assert!(routes.len() <= 32, "at most 32 routes");
         let listener = TcpListener::bind(("127.0.0.1", port))?;
+        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             routes,
@@ -263,12 +285,14 @@ impl ScrapeServer {
 }
 
 impl Drop for ScrapeServer {
+    /// Close the board and join the server thread: it wakes from its
+    /// idle wait or its waiting request at once, and a connection it is
+    /// reading or writing ends within that connection's deadline.
+    /// Connections still in the backlog are never accepted (and so never
+    /// counted); closing the listener resets them.
     fn drop(&mut self) {
         self.shared.board().closed = true;
         self.shared.published.notify_all();
-        // Wake the blocking accept with one throwaway connection; the
-        // server thread sees the board closed and leaves uncounted.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(100));
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -277,27 +301,27 @@ impl Drop for ScrapeServer {
 
 /// The server thread: answer connections one at a time until shutdown.
 fn serve(listener: &TcpListener, shared: &Shared) {
-    for stream in listener.incoming() {
-        if shared.board().closed {
-            return;
-        }
-        match stream {
-            Ok(mut stream) => {
-                answer(shared, &mut stream).fetch_add(1, Ordering::Relaxed);
+    while !shared.board().closed {
+        match listener.accept() {
+            Ok((mut stream, _)) => {
+                let counter = match stream.set_nonblocking(false) {
+                    Ok(()) => answer(shared, &mut stream),
+                    Err(_) => &shared.rejected,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
                 // The connection closes only now, so a client that has
                 // read to EOF finds itself counted.
                 drop(stream);
             }
-            // Out of descriptors or a connection reset before accept:
-            // back off briefly rather than spin.
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            // Nothing pending, out of descriptors, or a connection reset
+            // before accept: wait for the next attempt or shutdown.
+            Err(_) => shared.idle(ACCEPT_POLL),
         }
     }
 }
 
 /// Answer one connection; returns the [`ServeStats`] counter it lands in.
 fn answer<'s>(shared: &'s Shared, stream: &mut TcpStream) -> &'s AtomicU64 {
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let head = read_request_head(stream);
     let (reply, answered) = match head.as_deref().and_then(parse_request_line) {
         Some(("GET", path)) => match shared.routes.iter().position(|route| *route == path) {
@@ -310,13 +334,31 @@ fn answer<'s>(shared: &'s Shared, stream: &mut TcpStream) -> &'s AtomicU64 {
         Some(_) => (http_error(405, "method not allowed"), &shared.rejected),
         None => (http_error(400, "bad request"), &shared.rejected),
     };
-    match stream
-        .write_all(reply.as_bytes())
-        .and_then(|()| stream.flush())
-    {
+    match write_response(stream, reply.as_bytes()) {
         Ok(()) => answered,
         Err(_) => &shared.rejected,
     }
+}
+
+/// Write all of `reply` within [`WRITE_TIMEOUT`] of the call, however the
+/// peer paces its reads (a per-write timeout alone would let a reader
+/// that takes a byte now and then hold the server thread indefinitely).
+fn write_response(stream: &mut TcpStream, mut reply: &[u8]) -> std::io::Result<()> {
+    let deadline = Instant::now() + WRITE_TIMEOUT;
+    while !reply.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(reply) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => reply = &reply[n..],
+            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
+        }
+    }
+    Ok(())
 }
 
 /// Read until the end of the request head (`\r\n\r\n`), the size bound,
@@ -506,6 +548,66 @@ mod tests {
         }
         drop(server);
         assert_eq!(client.join().expect("client thread"), "");
+    }
+
+    #[test]
+    fn a_trickle_reader_is_cut_off_at_the_write_deadline() {
+        // Far more than the loopback socket buffers hold, so the write
+        // stalls on the reader.
+        const BODY_BYTES: usize = 8 << 20;
+        let server = ScrapeServer::bind(0, ROUTES).expect("bind loopback");
+        server.publish_final(&mut |_| Response::prometheus("x".repeat(BODY_BYTES)));
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\n\r\n")
+            .expect("write");
+        let started = Instant::now();
+        // 16 KB every 20 ms: each read lets a stalled write progress
+        // within a per-write timeout, so only a whole-response deadline
+        // ends it. The server counts the connection once it gives up (the
+        // socket buffers still hold bytes for the reader then).
+        let mut received = 0;
+        let mut chunk = vec![0u8; 16 << 10];
+        while server.stats().rejected == 0 && started.elapsed() < Duration::from_secs(10) {
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => received += n,
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert!(started.elapsed() < Duration::from_secs(3), "cut off late");
+        assert!(received < BODY_BYTES, "the reader took the whole body");
+        assert_eq!(server.stats().rejected, 1);
+        let dropping = Instant::now();
+        drop(server);
+        assert!(dropping.elapsed() < Duration::from_secs(1), "slow drop");
+    }
+
+    #[test]
+    fn dropping_the_server_during_a_flood_returns_promptly() {
+        let server = ScrapeServer::bind(0, ROUTES).expect("bind loopback");
+        let addr = server.addr();
+        // Nothing is ever published, so the first request waits and the
+        // rest queue behind it.
+        let flood: Vec<std::thread::JoinHandle<()>> = (0..64)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    if let Ok(mut stream) = TcpStream::connect(addr) {
+                        let _ = stream.write_all(b"GET /metrics HTTP/1.1\r\n\r\n");
+                        let _ = stream.read_to_end(&mut Vec::new());
+                    }
+                })
+            })
+            .collect();
+        while !server.wanted() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let dropping = Instant::now();
+        drop(server);
+        assert!(dropping.elapsed() < Duration::from_secs(1), "slow drop");
+        for client in flood {
+            client.join().expect("every client returns");
+        }
     }
 
     #[test]
