@@ -8,8 +8,8 @@
 use energy_model::EnergyModel;
 use hetero_bench::perf::bench_report;
 use hetero_core::{
-    Architecture, BaseSystem, BestCorePredictor, EnergyCentricSystem, OptimalSystem,
-    PredictorConfig, ProposedSystem, SuiteOracle,
+    Architecture, BaseSystem, BestCorePredictor, DecisionPolicy, OptimalSystem, PredictorConfig,
+    ProposedSystem, SuiteOracle,
 };
 use multicore_sim::Simulator;
 use workloads::{ArrivalPlan, Suite};
@@ -50,7 +50,9 @@ fn bench_figure6_systems(f: &Fixture) {
         simulator.run(&f.plan, &mut system).energy.total()
     });
     bench_report("figure6_system_run/energy_centric", 10, || {
-        let mut system = EnergyCentricSystem::new(&f.arch, &f.oracle, f.model, f.predictor.clone());
+        let mut system =
+            ProposedSystem::with_model(&f.arch, &f.oracle, f.model, f.predictor.clone())
+                .with_decision_policy(DecisionPolicy::BestCoreOnly);
         simulator.run(&f.plan, &mut system).energy.total()
     });
     bench_report("figure6_system_run/proposed", 10, || {

@@ -24,19 +24,15 @@
 //! Exits non-zero if any ledger diverges, any stall-purity violation is
 //! detected, or any mutation goes unnoticed.
 
-use energy_model::EnergyModel;
 use hetero_bench::trace_json::trace_document;
-use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
+use hetero_bench::{Testbed, SYSTEMS};
 use hetero_telemetry::Histogram;
 use multicore_sim::{
-    LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics, Scheduler, Simulator,
-    StallPurityChecked, TraceEvent,
+    LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics, Simulator, StallPurityChecked,
+    TraceEvent,
 };
 use std::process::ExitCode;
 use workloads::ArrivalPlan;
-
-const SYSTEMS: [&str; 4] = ["base", "optimal", "energy-centric", "proposed"];
 
 const DISCIPLINES: [(QueueDiscipline, &str); 3] = [
     (QueueDiscipline::Fifo, "fifo"),
@@ -57,25 +53,6 @@ struct TracedRun {
     purity_violations: Vec<String>,
 }
 
-fn trace_one<S: Scheduler>(
-    system: S,
-    num_cores: usize,
-    discipline: QueueDiscipline,
-    plan: &ArrivalPlan,
-) -> TracedRun {
-    let mut checked = StallPurityChecked::new(system);
-    let mut sink = RecordingSink::new();
-    let metrics = Simulator::new(num_cores)
-        .with_discipline(discipline)
-        .run_with_sink(plan, &mut checked, &mut sink);
-    TracedRun {
-        metrics,
-        events: sink.into_events(),
-        stall_checks: checked.stall_checks(),
-        purity_violations: checked.violations().to_vec(),
-    }
-}
-
 /// Run `system_index` (paper presentation order) traced on one plan.
 fn run_system(
     testbed: &Testbed,
@@ -83,35 +60,16 @@ fn run_system(
     discipline: QueueDiscipline,
     plan: &ArrivalPlan,
 ) -> TracedRun {
-    let num_cores = testbed.arch.num_cores();
-    let model: EnergyModel = testbed.model;
-    match system_index {
-        0 => {
-            let base = BaseSystem::new(&testbed.oracle, model, num_cores);
-            trace_one(base, num_cores, discipline, plan)
-        }
-        1 => {
-            let optimal = OptimalSystem::new(&testbed.arch, &testbed.oracle, model);
-            trace_one(optimal, num_cores, discipline, plan)
-        }
-        2 => {
-            let energy_centric = EnergyCentricSystem::new(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            );
-            trace_one(energy_centric, num_cores, discipline, plan)
-        }
-        _ => {
-            let proposed = ProposedSystem::with_model(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            );
-            trace_one(proposed, num_cores, discipline, plan)
-        }
+    let mut checked = StallPurityChecked::new(testbed.system(system_index, None, None));
+    let mut sink = RecordingSink::new();
+    let metrics = Simulator::new(testbed.arch.num_cores())
+        .with_discipline(discipline)
+        .run_with_sink(plan, &mut checked, &mut sink);
+    TracedRun {
+        metrics,
+        events: sink.into_events(),
+        stall_checks: checked.stall_checks(),
+        purity_violations: checked.violations().to_vec(),
     }
 }
 

@@ -55,13 +55,9 @@
 //! `results/BENCH_chaos.json`. Exits non-zero on any check failure.
 
 use cache_sim::CacheSizeKb;
-use energy_model::EnergyModel;
 use hetero_bench::json::Json;
-use hetero_bench::Testbed;
-use hetero_core::{
-    BaseSystem, BestCorePredictor, EnergyCentricSystem, FallbackChain, OptimalSystem,
-    ProposedSystem, SuiteOracle, SystemStats,
-};
+use hetero_bench::{Testbed, SYSTEMS};
+use hetero_core::{BestCorePredictor, FallbackChain, SuiteOracle, SystemStats};
 use hetero_engine::{
     run_streaming_observed, BrownoutConfig, EngineConfig, GovernorHandle, ObserveConfig,
     OverloadConfig, ShedPolicy, SloPolicy,
@@ -69,13 +65,11 @@ use hetero_engine::{
 use hetero_telemetry::{AlertState, BurnRateRule, Histogram};
 use multicore_sim::{
     tier_cell, FaultConfig, FaultPlan, FaultStats, FaultedRun, LedgerAuditor, QueueDiscipline,
-    RecordingSink, Scheduler, ServingTier, Simulator, StallPurityChecked, TierCell, TraceEvent,
+    RecordingSink, ServingTier, Simulator, StallPurityChecked, TraceEvent,
 };
 use std::process::ExitCode;
 use tinyann::{DistillConfig, TrainConfig};
 use workloads::{Arrival, ArrivalPlan, BenchmarkId, SplitMix64};
-
-const SYSTEMS: [&str; 4] = ["base", "optimal", "energy-centric", "proposed"];
 
 const DISCIPLINES: [(QueueDiscipline, &str); 2] = [
     (QueueDiscipline::Fifo, "fifo"),
@@ -93,30 +87,6 @@ struct ChaosRun {
     stats: Option<SystemStats>,
 }
 
-fn chaos_one<S: Scheduler>(
-    system: S,
-    num_cores: usize,
-    discipline: QueueDiscipline,
-    plan: &ArrivalPlan,
-    faults: &FaultPlan,
-) -> (ChaosRun, S) {
-    let mut checked = StallPurityChecked::new(system);
-    let mut sink = RecordingSink::new();
-    let run = Simulator::new(num_cores)
-        .with_discipline(discipline)
-        .run_with_faults(plan, &mut checked, faults, &mut sink);
-    let purity_violations = checked.violations().to_vec();
-    (
-        ChaosRun {
-            run,
-            events: sink.into_events(),
-            purity_violations,
-            stats: None,
-        },
-        checked.into_inner(),
-    )
-}
-
 /// Run `system_index` (paper presentation order) under the fault plan.
 /// `check_identity` additionally replays a fresh instance through the
 /// untraced reference loop and demands bit-exact agreement (only
@@ -130,87 +100,22 @@ fn run_system(
     faults: &FaultPlan,
     check_identity: bool,
 ) -> (ChaosRun, Vec<String>) {
-    let num_cores = testbed.arch.num_cores();
-    let model: EnergyModel = testbed.model;
-    let mut problems = Vec::new();
-
-    let chaos = match system_index {
-        0 => {
-            let system = BaseSystem::new(&testbed.oracle, model, num_cores);
-            let (chaos, _) = chaos_one(system, num_cores, discipline, plan, faults);
-            chaos
-        }
-        1 => {
-            let system = OptimalSystem::new(&testbed.arch, &testbed.oracle, model);
-            let (mut chaos, system) = chaos_one(system, num_cores, discipline, plan, faults);
-            chaos.stats = Some(system.stats());
-            chaos
-        }
-        2 => {
-            let system = EnergyCentricSystem::new(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            )
-            .with_faults(faults, chain.clone());
-            let (mut chaos, system) = chaos_one(system, num_cores, discipline, plan, faults);
-            chaos.stats = Some(system.stats());
-            chaos
-        }
-        _ => {
-            let system = ProposedSystem::with_model(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            )
-            .with_faults(faults, chain.clone());
-            let (mut chaos, system) = chaos_one(system, num_cores, discipline, plan, faults);
-            chaos.stats = Some(system.stats());
-            chaos
-        }
+    let simulator = Simulator::new(testbed.arch.num_cores()).with_discipline(discipline);
+    let mut checked =
+        StallPurityChecked::new(testbed.system(system_index, Some((faults, chain)), None));
+    let mut sink = RecordingSink::new();
+    let run = simulator.run_with_faults(plan, &mut checked, faults, &mut sink);
+    let chaos = ChaosRun {
+        run,
+        events: sink.into_events(),
+        purity_violations: checked.violations().to_vec(),
+        stats: checked.into_inner().stats(),
     };
 
+    let mut problems = Vec::new();
     if check_identity {
-        let reference = match system_index {
-            0 => {
-                let mut system = BaseSystem::new(&testbed.oracle, model, num_cores);
-                Simulator::new(num_cores)
-                    .with_discipline(discipline)
-                    .run_reference(plan, &mut system)
-            }
-            1 => {
-                let mut system = OptimalSystem::new(&testbed.arch, &testbed.oracle, model);
-                Simulator::new(num_cores)
-                    .with_discipline(discipline)
-                    .run_reference(plan, &mut system)
-            }
-            2 => {
-                let mut system = EnergyCentricSystem::new(
-                    &testbed.arch,
-                    &testbed.oracle,
-                    model,
-                    testbed.predictor.clone(),
-                )
-                .with_faults(faults, chain.clone());
-                Simulator::new(num_cores)
-                    .with_discipline(discipline)
-                    .run_reference(plan, &mut system)
-            }
-            _ => {
-                let mut system = ProposedSystem::with_model(
-                    &testbed.arch,
-                    &testbed.oracle,
-                    model,
-                    testbed.predictor.clone(),
-                )
-                .with_faults(faults, chain.clone());
-                Simulator::new(num_cores)
-                    .with_discipline(discipline)
-                    .run_reference(plan, &mut system)
-            }
-        };
+        let mut system = testbed.system(system_index, Some((faults, chain)), None);
+        let reference = simulator.run_reference(plan, &mut system);
         if chaos.run.metrics != reference
             || chaos.run.metrics.energy.idle_nj.to_bits() != reference.energy.idle_nj.to_bits()
             || chaos.run.metrics.energy.dynamic_nj.to_bits()
@@ -422,48 +327,6 @@ fn drift_scenario(testbed: &Testbed, refine_epochs: usize) -> (Json, Vec<String>
     (row, problems)
 }
 
-/// Build one system for the overload drill, subscribing the predictive
-/// systems to the shared serving-tier cell (the base and optimal systems
-/// take no predictions at completion time, so the cell has nothing to
-/// steer there — the governor still accounts tier dwell for them).
-fn overload_system<'a>(
-    testbed: &'a Testbed,
-    system_index: usize,
-    cell: Option<TierCell>,
-    student: Option<&BestCorePredictor>,
-) -> Box<dyn Scheduler + 'a> {
-    let model = testbed.model;
-    let num_cores = testbed.arch.num_cores();
-    match system_index {
-        0 => Box::new(BaseSystem::new(&testbed.oracle, model, num_cores)),
-        1 => Box::new(OptimalSystem::new(&testbed.arch, &testbed.oracle, model)),
-        2 => {
-            let mut system = EnergyCentricSystem::new(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            );
-            if let Some(cell) = cell {
-                system = system.with_serving_tier(cell, student.cloned());
-            }
-            Box::new(system)
-        }
-        _ => {
-            let mut system = ProposedSystem::with_model(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            );
-            if let Some(cell) = cell {
-                system = system.with_serving_tier(cell, student.cloned());
-            }
-            Box::new(system)
-        }
-    }
-}
-
 /// Overload chaos drill: a bursty storm at ~2.5x the sustainable service
 /// rate followed by a trickle, run through the admission governor and
 /// brownout controller on all four systems. Three gates per system:
@@ -570,12 +433,11 @@ fn overload_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
     for (system_index, system_name) in SYSTEMS.iter().enumerate() {
         let sim = Simulator::new(num_cores);
         let cell = tier_cell();
-        let mut system =
-            overload_system(testbed, system_index, Some(cell.clone()), student.as_ref());
+        let mut system = testbed.system(system_index, None, Some((cell.clone(), student.as_ref())));
         let outcome = run_streaming_observed(
             &sim,
             arrivals.iter().copied(),
-            &mut *system,
+            &mut system,
             &engine_config,
             &overload,
             &ObserveConfig::disabled(),
@@ -616,20 +478,16 @@ fn overload_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
         // Gate (b): shedding disabled is bit-identical to a plain
         // `run_stream`, event ledger included.
         let mut plain_sink = RecordingSink::new();
-        let mut plain_system = overload_system(testbed, system_index, None, None);
-        let plain = sim.run_stream(
-            arrivals.iter().copied(),
-            &mut *plain_system,
-            &mut plain_sink,
-        );
+        let mut plain_system = testbed.system(system_index, None, None);
+        let plain = sim.run_stream(arrivals.iter().copied(), &mut plain_system, &mut plain_sink);
         let governor = GovernorHandle::new(&OverloadConfig::disabled(), num_cores, None);
         let mut governed_sink = RecordingSink::new();
-        let mut governed_system = overload_system(testbed, system_index, None, None);
+        let mut governed_system = testbed.system(system_index, None, None);
         let governed = {
             let mut wrapped = governor.sink(&mut governed_sink);
             let metrics = sim.run_stream(
                 governor.gate(arrivals.iter().copied()),
-                &mut *governed_system,
+                &mut governed_system,
                 &mut wrapped,
             );
             wrapped.finish();
@@ -793,11 +651,11 @@ fn burn_drill(testbed: &Testbed, smoke: bool) -> (Json, Vec<String>) {
 
     let sim = Simulator::new(num_cores);
     let cell = tier_cell();
-    let mut system = overload_system(testbed, 3, Some(cell.clone()), None);
+    let mut system = testbed.system(3, None, Some((cell.clone(), None)));
     let outcome = run_streaming_observed(
         &sim,
         arrivals.iter().copied(),
-        &mut *system,
+        &mut system,
         &engine_config,
         &overload,
         &observe,

@@ -60,20 +60,16 @@
 
 use hetero_bench::json::Json;
 use hetero_bench::perfetto::{perfetto_document, validate_perfetto};
-use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
+use hetero_bench::{Testbed, SYSTEMS};
 use hetero_engine::{
     export, run_streaming, run_streaming_observed, BrownoutConfig, EngineConfig, EngineReport,
     ObserveConfig, ObservedSink, OverloadConfig, ShedPolicy, SloPolicy, StreamOutcome,
 };
 use hetero_telemetry::BurnRateRule;
-use multicore_sim::{tier_cell, Scheduler, ServingTier, Simulator};
+use multicore_sim::{tier_cell, ServingTier, Simulator};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use workloads::{Arrival, Compose, OpenLoop};
-
-/// `(flag value, display name)` in the paper's presentation order.
-const SYSTEMS: [&str; 4] = ["base", "optimal", "energy-centric", "proposed"];
 
 struct Options {
     system: String,
@@ -270,9 +266,9 @@ fn serve(testbed: &Testbed, system_index: usize, options: &Options) -> StreamOut
         options.jobs,
     )
     .expect("validated before the run started");
-    let mut system = boxed_system(testbed, system_index);
+    let mut system = testbed.system(system_index, None, None);
     let simulator = Simulator::new(testbed.arch.num_cores());
-    run_streaming(&simulator, stream, &mut *system, &config)
+    run_streaming(&simulator, stream, &mut system, &config)
 }
 
 /// Print the host wall-clock split of a run: testbed setup, streaming,
@@ -490,13 +486,7 @@ fn overload_smoke() -> ExitCode {
     };
 
     let cell = tier_cell();
-    let mut system = ProposedSystem::with_model(
-        &testbed.arch,
-        &testbed.oracle,
-        testbed.model,
-        testbed.predictor.clone(),
-    )
-    .with_serving_tier(cell.clone(), None);
+    let mut system = testbed.system(3, None, Some((cell.clone(), None)));
     let outcome = run_streaming_observed(
         &Simulator::new(num_cores),
         stream,
@@ -578,32 +568,6 @@ fn overload_smoke() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One scheduling system as a trait object (the simulator takes
-/// `&mut dyn Scheduler`, so nothing is gained by monomorphising).
-fn boxed_system<'t>(testbed: &'t Testbed, system_index: usize) -> Box<dyn Scheduler + 't> {
-    let num_cores = testbed.arch.num_cores();
-    match system_index {
-        0 => Box::new(BaseSystem::new(&testbed.oracle, testbed.model, num_cores)),
-        1 => Box::new(OptimalSystem::new(
-            &testbed.arch,
-            &testbed.oracle,
-            testbed.model,
-        )),
-        2 => Box::new(EnergyCentricSystem::new(
-            &testbed.arch,
-            &testbed.oracle,
-            testbed.model,
-            testbed.predictor.clone(),
-        )),
-        _ => Box::new(ProposedSystem::with_model(
-            &testbed.arch,
-            &testbed.oracle,
-            testbed.model,
-            testbed.predictor.clone(),
-        )),
-    }
-}
-
 /// `engine --serve PORT` / `--perfetto PATH`: one system served through
 /// the live observability plane — scrape endpoint answered from its own
 /// thread with state published at snapshot boundaries while the run is
@@ -652,9 +616,9 @@ fn observed_run(options: &Options) -> ExitCode {
         options.jobs,
     )
     .expect("validated before the run started");
-    let mut system = boxed_system(&testbed, system_index);
+    let mut system = testbed.system(system_index, None, None);
     let started = Instant::now();
-    let metrics = Simulator::new(num_cores).run_stream(stream, &mut *system, &mut plane);
+    let metrics = Simulator::new(num_cores).run_stream(stream, &mut system, &mut plane);
     print_wall_time(setup, started.elapsed(), metrics.jobs_completed);
     // Publishes the final state; the server thread answers from it for
     // as long as `outcome.server` lives.
@@ -793,12 +757,7 @@ fn serve_smoke() -> ExitCode {
         jobs,
     )
     .expect("poisson is a valid process");
-    let mut system = ProposedSystem::with_model(
-        &testbed.arch,
-        &testbed.oracle,
-        testbed.model,
-        testbed.predictor.clone(),
-    );
+    let mut system = testbed.system(3, None, None);
     let metrics = Simulator::new(num_cores).run_stream(stream, &mut system, &mut plane);
     // Scrapes the in-run boundary publications did not catch are answered
     // from the final state.

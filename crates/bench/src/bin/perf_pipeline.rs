@@ -780,7 +780,8 @@ fn rss_mb() -> f64 {
 /// snapshot ring) — independent of `jobs` — so growth stays a few MB;
 /// any regression toward per-job retention scales with `jobs` and blows
 /// [`STREAM_RSS_BUDGET_MB`]. Runs once (`iters` selects the scale, not a
-/// repeat count: smoke = 1M jobs, full = 10M).
+/// repeat count: smoke = 1M jobs, full = 10M). The stage's `extra` also
+/// records the run's wall jobs/s (ungated).
 fn measure_engine_stream(iters: u32) -> Stage {
     let jobs: usize = if iters <= 1 { 1_000_000 } else { 10_000_000 };
     let stream = workloads::OpenLoop::poisson(20.0, 12, 7).take(jobs);
@@ -799,9 +800,10 @@ fn measure_engine_stream(iters: u32) -> Stage {
         outcome.metrics.jobs_completed, jobs as u64,
         "streaming run must retire every job"
     );
+    let jobs_per_s = jobs as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
     println!(
-        "engine_stream: {jobs} jobs in {:.2}s, {} snapshots, rss growth {growth_mb:.1} MB \
-         (budget {STREAM_RSS_BUDGET_MB:.0} MB)",
+        "engine_stream: {jobs} jobs in {:.2}s ({jobs_per_s:.0} jobs/s), {} snapshots, \
+         rss growth {growth_mb:.1} MB (budget {STREAM_RSS_BUDGET_MB:.0} MB)",
         elapsed.as_secs_f64(),
         outcome.report.snapshots_emitted,
     );
@@ -819,7 +821,10 @@ fn measure_engine_stream(iters: u32) -> Stage {
         name: "engine_stream",
         reference: sample("stream_rss_budget_mb", STREAM_RSS_BUDGET_MB),
         fused: sample("stream_rss_growth_mb", growth_mb),
-        extra: Vec::new(),
+        extra: vec![
+            ("jobs", Json::UInt(jobs as u64)),
+            ("jobs_per_s", Json::Num(jobs_per_s)),
+        ],
     }
 }
 

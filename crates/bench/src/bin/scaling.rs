@@ -30,8 +30,8 @@ use energy_model::EnergyModel;
 use hetero_bench::json::Json;
 use hetero_bench::parse_plan_args;
 use hetero_core::{
-    Architecture, BaseSystem, BestCorePredictor, EnergyCentricSystem, OptimalSystem,
-    PredictorConfig, ProposedSystem, SuiteOracle,
+    Architecture, BaseSystem, BestCorePredictor, DecisionPolicy, OptimalSystem, PredictorConfig,
+    ProposedSystem, SuiteOracle,
 };
 use multicore_sim::{CoreId, RunMetrics, Simulator};
 use std::time::Instant;
@@ -266,7 +266,9 @@ fn main() {
         let mut optimal = OptimalSystem::new(&arch, &oracle, model);
         let optimal_metrics = simulator.run(&plan, &mut optimal);
 
-        let mut energy_centric = EnergyCentricSystem::new(&arch, &oracle, model, predictor.clone());
+        let mut energy_centric =
+            ProposedSystem::with_model(&arch, &oracle, model, predictor.clone())
+                .with_decision_policy(DecisionPolicy::BestCoreOnly);
         let energy_centric_metrics = simulator.run(&plan, &mut energy_centric);
 
         let mut proposed = ProposedSystem::with_model(&arch, &oracle, model, predictor.clone());

@@ -30,23 +30,12 @@
 use energy_model::EnergyModel;
 use hetero_bench::json::Json;
 use hetero_bench::telemetry_json::{histogram_summary, spans_to_json, telemetry_document};
-use hetero_bench::{Testbed, PAPER_HORIZON, PAPER_JOBS, PAPER_SEED};
-use hetero_core::{
-    Architecture, BaseSystem, BestCorePredictor, EnergyCentricSystem, OptimalSystem,
-    PredictorConfig, ProposedSystem, SuiteOracle,
-};
+use hetero_bench::{Testbed, PAPER_HORIZON, PAPER_JOBS, PAPER_SEED, SYSTEMS};
+use hetero_core::{Architecture, BestCorePredictor, PredictorConfig, SuiteOracle};
 use hetero_telemetry::{MetricsSink, SpanRecorder, TelemetryReport};
-use multicore_sim::{QueueDiscipline, RunMetrics, Scheduler, Simulator};
+use multicore_sim::{QueueDiscipline, RunMetrics, Simulator};
 use std::process::ExitCode;
 use workloads::{ArrivalPlan, BenchmarkId, Suite};
-
-/// `(display name, artifact stem)` in the paper's presentation order.
-const SYSTEMS: [(&str, &str); 4] = [
-    ("base", "base"),
-    ("optimal", "optimal"),
-    ("energy-centric", "energy_centric"),
-    ("proposed", "proposed"),
-];
 
 /// Build the testbed with every offline stage under the span profiler.
 ///
@@ -89,57 +78,13 @@ fn run_system(
     plan: &ArrivalPlan,
     interval: u64,
 ) -> (RunMetrics, TelemetryReport) {
-    fn go<S: Scheduler>(
-        mut system: S,
-        num_cores: usize,
-        plan: &ArrivalPlan,
-        interval: u64,
-    ) -> (RunMetrics, TelemetryReport) {
-        let mut sink = MetricsSink::new(num_cores, interval);
-        let metrics = Simulator::new(num_cores)
-            .with_discipline(QueueDiscipline::Fifo)
-            .run_with_sink(plan, &mut system, &mut sink);
-        (metrics, sink.report())
-    }
-
     let num_cores = testbed.arch.num_cores();
-    let model: EnergyModel = testbed.model;
-    match system_index {
-        0 => go(
-            BaseSystem::new(&testbed.oracle, model, num_cores),
-            num_cores,
-            plan,
-            interval,
-        ),
-        1 => go(
-            OptimalSystem::new(&testbed.arch, &testbed.oracle, model),
-            num_cores,
-            plan,
-            interval,
-        ),
-        2 => go(
-            EnergyCentricSystem::new(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            ),
-            num_cores,
-            plan,
-            interval,
-        ),
-        _ => go(
-            ProposedSystem::with_model(
-                &testbed.arch,
-                &testbed.oracle,
-                model,
-                testbed.predictor.clone(),
-            ),
-            num_cores,
-            plan,
-            interval,
-        ),
-    }
+    let mut system = testbed.system(system_index, None, None);
+    let mut sink = MetricsSink::new(num_cores, interval);
+    let metrics = Simulator::new(num_cores)
+        .with_discipline(QueueDiscipline::Fifo)
+        .run_with_sink(plan, &mut system, &mut sink);
+    (metrics, sink.report())
 }
 
 fn write_artifact(path: &str, contents: &str) -> Result<(), String> {
@@ -181,7 +126,7 @@ fn main() -> ExitCode {
         "{:<15} {:>9} {:>10} {:>10} {:>10} {:>10} {:>8}",
         "system", "completed", "lat p50", "lat p95", "lat p99", "lat max", "util"
     );
-    for (system_index, &(system_name, stem)) in SYSTEMS.iter().enumerate() {
+    for (system_index, system_name) in SYSTEMS.into_iter().enumerate() {
         let (metrics, report) = run_system(&testbed, system_index, &plan, interval);
         if metrics.jobs_completed != jobs as u64 {
             eprintln!(
@@ -218,6 +163,7 @@ fn main() -> ExitCode {
 
         if !smoke {
             let doc = telemetry_document(system_name, "fifo", jobs, PAPER_SEED, &report);
+            let stem = system_name.replace('-', "_");
             if let Err(problem) =
                 write_artifact(&format!("results/TELEMETRY_{stem}.json"), &doc.to_pretty())
             {

@@ -434,6 +434,14 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                0x00..=0x1f => {
+                    // RFC 8259: control characters must be escaped.
+                    return Err(JsonError::UnexpectedChar {
+                        offset: self.pos,
+                        found: char::from(b),
+                        expected: "an escaped control character",
+                    });
+                }
                 _ => {
                     // Consume one UTF-8 scalar (multi-byte sequences pass
                     // through untouched; the input is a valid &str).
@@ -665,6 +673,14 @@ mod tests {
             Json::parse("\"bad \\q escape\""),
             Err(JsonError::InvalidEscape { offset: 5 })
         );
+        assert!(matches!(
+            Json::parse("\"raw\ttab\""),
+            Err(JsonError::UnexpectedChar {
+                offset: 4,
+                found: '\t',
+                ..
+            })
+        ));
         let deep = "[".repeat(Json::MAX_DEPTH + 2);
         assert!(matches!(Json::parse(&deep), Err(JsonError::TooDeep { .. })));
     }

@@ -15,10 +15,12 @@ pub mod trace_json;
 
 use energy_model::{EnergyBreakdown, EnergyModel};
 use hetero_core::{
-    Architecture, BaseSystem, BestCorePredictor, EnergyCentricSystem, OptimalSystem,
+    Architecture, BaseSystem, BestCorePredictor, DecisionPolicy, FallbackChain, OptimalSystem,
     PredictorConfig, ProposedSystem, SystemStats,
 };
-use multicore_sim::{RunMetrics, Simulator};
+use multicore_sim::{
+    CoreId, CoreIndex, Decision, FaultPlan, Job, RunMetrics, Scheduler, Simulator, TierCell,
+};
 use workloads::{ArrivalPlan, Suite};
 
 pub use hetero_core::SuiteOracle;
@@ -71,6 +73,48 @@ impl Testbed {
         ArrivalPlan::uniform(jobs, horizon, self.suite.len(), seed)
     }
 
+    /// Build system `index` of [`SYSTEMS`] over this testbed. The two
+    /// predictive systems (energy-centric, proposed) subscribe to `faults`,
+    /// a fault plan plus the fallback chain to degrade through, and to
+    /// `tier`, a brownout serving-tier cell plus an optional distilled
+    /// student. Base and optimal take no predictions and ignore both.
+    pub fn system<'a>(
+        &'a self,
+        index: usize,
+        faults: Option<(&'a FaultPlan, &FallbackChain)>,
+        tier: Option<(TierCell, Option<&BestCorePredictor>)>,
+    ) -> PaperSystem<'a> {
+        match index {
+            0 => PaperSystem::Base(BaseSystem::new(
+                &self.oracle,
+                self.model,
+                self.arch.num_cores(),
+            )),
+            1 => PaperSystem::Optimal(OptimalSystem::new(&self.arch, &self.oracle, self.model)),
+            _ => {
+                let policy = if index == 2 {
+                    DecisionPolicy::BestCoreOnly
+                } else {
+                    DecisionPolicy::Evaluate
+                };
+                let mut system = ProposedSystem::with_model(
+                    &self.arch,
+                    &self.oracle,
+                    self.model,
+                    self.predictor.clone(),
+                )
+                .with_decision_policy(policy);
+                if let Some((plan, chain)) = faults {
+                    system = system.with_faults(plan, chain.clone());
+                }
+                if let Some((cell, student)) = tier {
+                    system = system.with_serving_tier(cell, student.cloned());
+                }
+                PaperSystem::Predictive(system)
+            }
+        }
+    }
+
     /// Run all four systems on one plan.
     ///
     /// The four simulations are independent (each builds its own scheduler
@@ -86,50 +130,12 @@ impl Testbed {
     /// `workers = 1` runs the four systems sequentially on the caller in
     /// the legacy order (base, optimal, energy-centric, proposed).
     pub fn run_all_with_threads(&self, plan: &ArrivalPlan, workers: usize) -> Comparison {
-        let mut runs = hetero_parallel::map_indexed(4, workers, |system| {
-            let simulator = Simulator::new(self.arch.num_cores());
-            match system {
-                0 => {
-                    let mut base = BaseSystem::new(&self.oracle, self.model, self.arch.num_cores());
-                    SystemRun {
-                        metrics: simulator.run(plan, &mut base),
-                        stats: SystemStats::default(),
-                    }
-                }
-                1 => {
-                    let mut optimal = OptimalSystem::new(&self.arch, &self.oracle, self.model);
-                    let metrics = simulator.run(plan, &mut optimal);
-                    SystemRun {
-                        metrics,
-                        stats: optimal.stats(),
-                    }
-                }
-                2 => {
-                    let mut energy_centric = EnergyCentricSystem::new(
-                        &self.arch,
-                        &self.oracle,
-                        self.model,
-                        self.predictor.clone(),
-                    );
-                    let metrics = simulator.run(plan, &mut energy_centric);
-                    SystemRun {
-                        metrics,
-                        stats: energy_centric.stats(),
-                    }
-                }
-                _ => {
-                    let mut proposed = ProposedSystem::with_model(
-                        &self.arch,
-                        &self.oracle,
-                        self.model,
-                        self.predictor.clone(),
-                    );
-                    let metrics = simulator.run(plan, &mut proposed);
-                    SystemRun {
-                        metrics,
-                        stats: proposed.stats(),
-                    }
-                }
+        let mut runs = hetero_parallel::map_indexed(SYSTEMS.len(), workers, |index| {
+            let mut system = self.system(index, None, None);
+            let metrics = Simulator::new(self.arch.num_cores()).run(plan, &mut system);
+            SystemRun {
+                metrics,
+                stats: system.stats().unwrap_or_default(),
             }
         });
         let proposed = runs.pop().expect("four runs");
@@ -142,6 +148,76 @@ impl Testbed {
             energy_centric,
             proposed,
         }
+    }
+}
+
+/// The paper's four systems in presentation order; [`Testbed::system`]
+/// takes an index into this list.
+pub const SYSTEMS: [&str; 4] = ["base", "optimal", "energy-centric", "proposed"];
+
+/// One of the paper's four systems, as built by [`Testbed::system`]. The
+/// energy-centric system is a [`ProposedSystem`] under
+/// [`DecisionPolicy::BestCoreOnly`].
+// One value per run, built once and never stored in bulk, so the size
+// gap between the variants costs nothing worth a box.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub enum PaperSystem<'a> {
+    /// Fixed `8KB_4W_64B` on every core.
+    Base(BaseSystem<'a>),
+    /// Exhaustive-search comparator.
+    Optimal(OptimalSystem<'a>),
+    /// Energy-centric or proposed.
+    Predictive(ProposedSystem<'a>),
+}
+
+impl<'a> PaperSystem<'a> {
+    /// Scheduler-level counters; `None` for the base system, which keeps
+    /// none.
+    pub fn stats(&self) -> Option<SystemStats> {
+        match self {
+            PaperSystem::Base(_) => None,
+            PaperSystem::Optimal(system) => Some(system.stats()),
+            PaperSystem::Predictive(system) => Some(system.stats()),
+        }
+    }
+
+    fn inner(&self) -> &(dyn Scheduler + 'a) {
+        match self {
+            PaperSystem::Base(system) => system,
+            PaperSystem::Optimal(system) => system,
+            PaperSystem::Predictive(system) => system,
+        }
+    }
+
+    fn inner_mut(&mut self) -> &mut (dyn Scheduler + 'a) {
+        match self {
+            PaperSystem::Base(system) => system,
+            PaperSystem::Optimal(system) => system,
+            PaperSystem::Predictive(system) => system,
+        }
+    }
+}
+
+impl Scheduler for PaperSystem<'_> {
+    fn schedule(&mut self, job: &Job, cores: &CoreIndex, now: u64) -> Decision {
+        self.inner_mut().schedule(job, cores, now)
+    }
+
+    fn idle_power_nj_per_cycle(&self, core: CoreId) -> f64 {
+        self.inner().idle_power_nj_per_cycle(core)
+    }
+
+    fn on_complete(&mut self, job: &Job, core: CoreId, now: u64) {
+        self.inner_mut().on_complete(job, core, now);
+    }
+
+    fn on_preempt(&mut self, job: &Job, core: CoreId, now: u64) {
+        self.inner_mut().on_preempt(job, core, now);
+    }
+
+    fn state_fingerprint(&self) -> u64 {
+        self.inner().state_fingerprint()
     }
 }
 
@@ -170,13 +246,12 @@ pub struct Comparison {
 impl Comparison {
     /// Iterate as (name, run) pairs in the paper's presentation order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &SystemRun)> {
-        [
-            ("base", &self.base),
-            ("optimal", &self.optimal),
-            ("energy-centric", &self.energy_centric),
-            ("proposed", &self.proposed),
-        ]
-        .into_iter()
+        SYSTEMS.into_iter().zip([
+            &self.base,
+            &self.optimal,
+            &self.energy_centric,
+            &self.proposed,
+        ])
     }
 }
 

@@ -4,7 +4,7 @@
 //! tampering of a recorded trace must be rejected.
 
 use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
+use hetero_core::{BaseSystem, DecisionPolicy, OptimalSystem, ProposedSystem};
 use multicore_sim::{
     LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics, Scheduler, Simulator,
     StallPurityChecked, TraceEvent,
@@ -61,7 +61,8 @@ fn run_traced(
             plan,
         ),
         2 => go(
-            EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
+            ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone())
+                .with_decision_policy(DecisionPolicy::BestCoreOnly),
             discipline,
             plan,
         ),

@@ -15,7 +15,7 @@
 //!    cumulative energy equals the simulator's to the bit.
 
 use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
+use hetero_core::{BaseSystem, DecisionPolicy, OptimalSystem, ProposedSystem};
 use hetero_engine::{run_streaming, EngineConfig, EngineReport, OverloadConfig, SloPolicy};
 use multicore_sim::{
     LedgerAuditor, QueueDiscipline, RecordingSink, RunMetrics, Scheduler, Simulator,
@@ -81,7 +81,10 @@ fn run_both(system_index: usize, discipline: QueueDiscipline, plan: &ArrivalPlan
             plan,
         ),
         2 => go(
-            || EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
+            || {
+                ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone())
+                    .with_decision_policy(DecisionPolicy::BestCoreOnly)
+            },
             discipline,
             plan,
         ),
@@ -185,7 +188,7 @@ proptest! {
             0 => ledgers(|| BaseSystem::new(&t.oracle, t.model, num_cores), discipline, &plan, num_cores),
             1 => ledgers(|| OptimalSystem::new(&t.arch, &t.oracle, t.model), discipline, &plan, num_cores),
             2 => ledgers(
-                || EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
+                || ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone()).with_decision_policy(DecisionPolicy::BestCoreOnly),
                 discipline, &plan, num_cores,
             ),
             _ => ledgers(
@@ -237,7 +240,7 @@ proptest! {
             0 => governed(|| BaseSystem::new(&t.oracle, t.model, t.arch.num_cores()), discipline, &plan),
             1 => governed(|| OptimalSystem::new(&t.arch, &t.oracle, t.model), discipline, &plan),
             2 => governed(
-                || EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
+                || ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone()).with_decision_policy(DecisionPolicy::BestCoreOnly),
                 discipline, &plan,
             ),
             _ => governed(

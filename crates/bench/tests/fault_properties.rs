@@ -4,7 +4,7 @@
 //! base system's placements under a full predictor blackout.
 
 use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, FallbackChain, OptimalSystem, ProposedSystem};
+use hetero_core::{BaseSystem, DecisionPolicy, FallbackChain, OptimalSystem, ProposedSystem};
 use multicore_sim::{
     FaultConfig, FaultPlan, FaultStats, FaultedRun, LedgerAuditor, QueueDiscipline, RecordingSink,
     RunMetrics, Scheduler, Simulator, StallPurityChecked, TraceEvent,
@@ -70,7 +70,8 @@ fn run_faulted(
             faults,
         ),
         2 => go(
-            EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone())
+            ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone())
+                .with_decision_policy(DecisionPolicy::BestCoreOnly)
                 .with_faults(faults, chain().clone()),
             discipline,
             plan,
@@ -115,7 +116,8 @@ fn run_reference(
             plan,
         ),
         2 => go(
-            EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
+            ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone())
+                .with_decision_policy(DecisionPolicy::BestCoreOnly),
             discipline,
             plan,
         ),

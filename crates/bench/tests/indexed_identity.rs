@@ -11,7 +11,7 @@
 
 use cache_sim::CacheSizeKb;
 use hetero_bench::Testbed;
-use hetero_core::{Architecture, BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
+use hetero_core::{Architecture, BaseSystem, DecisionPolicy, OptimalSystem, ProposedSystem};
 use multicore_sim::{
     CoreId, FaultPlan, LedgerAuditor, NullSink, QueueDiscipline, RecordingSink, RunMetrics,
     Scheduler, Simulator,
@@ -78,7 +78,10 @@ fn run_four_paths(
             plan,
         ),
         2 => go(
-            || EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
+            || {
+                ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone())
+                    .with_decision_policy(DecisionPolicy::BestCoreOnly)
+            },
             discipline,
             plan,
         ),

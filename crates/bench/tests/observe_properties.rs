@@ -17,11 +17,12 @@
 use hetero_bench::json::Json;
 use hetero_bench::perfetto::{perfetto_document, validate_perfetto};
 use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
+use hetero_core::{BaseSystem, DecisionPolicy, OptimalSystem, ProposedSystem};
 use hetero_engine::{
-    run_streaming_observed, EngineConfig, ObserveConfig, OverloadConfig, ShedPolicy, SloPolicy,
+    run_streaming_observed, EngineConfig, EngineSink, ObserveConfig, OverloadConfig, ShedPolicy,
+    SloPolicy,
 };
-use hetero_telemetry::{JobPhase, SpanClose};
+use hetero_telemetry::{BurnEngine, BurnRateRule, JobPhase, SpanClose};
 use multicore_sim::{QueueDiscipline, RunMetrics, Scheduler, Simulator};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -60,12 +61,10 @@ fn with_system<R>(system_index: usize, body: impl FnOnce(&mut dyn Scheduler) -> 
     match system_index {
         0 => body(&mut BaseSystem::new(&t.oracle, t.model, t.arch.num_cores())),
         1 => body(&mut OptimalSystem::new(&t.arch, &t.oracle, t.model)),
-        2 => body(&mut EnergyCentricSystem::new(
-            &t.arch,
-            &t.oracle,
-            t.model,
-            t.predictor.clone(),
-        )),
+        2 => body(
+            &mut ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone())
+                .with_decision_policy(DecisionPolicy::BestCoreOnly),
+        ),
         _ => body(&mut ProposedSystem::with_model(
             &t.arch,
             &t.oracle,
@@ -223,4 +222,25 @@ proptest! {
         let doc = perfetto_document(spans, "test", seed);
         prop_assert!(validate_perfetto(&doc).is_ok());
     }
+}
+
+#[test]
+fn health_body_escapes_control_characters_in_rule_names() {
+    // RFC 8259 forbids raw U+0000–U+001F inside strings: a tab or carriage
+    // return in a rule name must leave `/health` parseable, and the name
+    // must survive the round trip intact.
+    let name = "p99\tbudget\r\"x\"";
+    let engine = EngineSink::new(2, &engine_config());
+    let burn = BurnEngine::new(1_000, vec![BurnRateRule::paging(name, 5_000)]);
+    let body = hetero_engine::observe::health_body(&engine, Some(&burn), None);
+    assert!(
+        !body.chars().any(char::is_control),
+        "raw control character in {body:?}"
+    );
+    let doc = Json::parse(&body).unwrap_or_else(|err| panic!("{err}: {body:?}"));
+    let Some(Json::Array(alerts)) = doc.get("alerts") else {
+        panic!("no alerts array in {body:?}");
+    };
+    assert_eq!(alerts.len(), 1);
+    assert_eq!(alerts[0].get("rule").and_then(Json::as_str), Some(name));
 }

@@ -8,7 +8,7 @@
 //! turnaround total).
 
 use hetero_bench::Testbed;
-use hetero_core::{BaseSystem, EnergyCentricSystem, OptimalSystem, ProposedSystem};
+use hetero_core::{BaseSystem, DecisionPolicy, OptimalSystem, ProposedSystem};
 use hetero_telemetry::{MetricsSink, TelemetryReport};
 use multicore_sim::{QueueDiscipline, RunMetrics, Scheduler, Simulator};
 use proptest::prelude::*;
@@ -68,8 +68,10 @@ fn run_both(
             plan,
         ),
         2 => go(
-            EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
-            EnergyCentricSystem::new(&t.arch, &t.oracle, t.model, t.predictor.clone()),
+            ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone())
+                .with_decision_policy(DecisionPolicy::BestCoreOnly),
+            ProposedSystem::with_model(&t.arch, &t.oracle, t.model, t.predictor.clone())
+                .with_decision_policy(DecisionPolicy::BestCoreOnly),
             discipline,
             plan,
         ),

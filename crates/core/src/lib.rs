@@ -21,8 +21,10 @@
 //!    between stalling and borrowing an idle non-best core.
 //!
 //! The four systems of the paper's evaluation are [`Scheduler`]
-//! implementations in [`systems`]: [`BaseSystem`], [`OptimalSystem`],
-//! [`EnergyCentricSystem`], and [`ProposedSystem`].
+//! implementations in [`systems`]: [`BaseSystem`], [`OptimalSystem`], and
+//! [`ProposedSystem`], which is also the energy-centric system under
+//! [`DecisionPolicy::BestCoreOnly`] (the paper defines that comparator by
+//! its one difference: it only ever runs a job on the job's best core).
 //!
 //! # Example: run the proposed system on 200 arrivals
 //!
@@ -63,7 +65,5 @@ pub use oracle::{BenchmarkTruth, SuiteOracle};
 pub use predictor::{BestCorePredictor, PredictorConfig, PredictorKind};
 pub use profiling::{ProfileEntry, ProfilingTable};
 pub use stages::{observed, NullStageObserver, StageObserver};
-pub use systems::{
-    BaseSystem, DecisionPolicy, EnergyCentricSystem, OptimalSystem, ProposedSystem, SystemStats,
-};
+pub use systems::{BaseSystem, DecisionPolicy, OptimalSystem, ProposedSystem, SystemStats};
 pub use tuning::{TuningExplorer, TuningPhase, TuningStatus};

@@ -7,20 +7,21 @@
 //!   benchmark's best configuration per core from an exhaustive search;
 //!   schedules to the best core when idle, otherwise to any idle core in
 //!   that core's best configuration; never stalls.
-//! * [`EnergyCentricSystem`] — profiles, predicts the best core with the
-//!   ANN, and **always stalls** for it.
+//! * energy-centric — [`ProposedSystem`] under
+//!   [`DecisionPolicy::BestCoreOnly`]: profiles, predicts the best core with
+//!   the ANN, tunes on it, and **always stalls** for it. Unlike the
+//!   [`DecisionPolicy::AlwaysStall`] ablation it never places a job on an
+//!   idle non-best core, not even to gather tuning information.
 //! * [`ProposedSystem`] — the full Figure 2 flow: profiling, ANN
 //!   prediction, Figure 5 tuning on cores whose best configuration is
 //!   unknown, and the Section IV.E energy-advantageous stall decision.
 
 mod base;
 mod common;
-mod energy_centric;
 mod optimal;
 mod proposed;
 
 pub use base::BaseSystem;
 pub use common::SystemStats;
-pub use energy_centric::EnergyCentricSystem;
 pub use optimal::OptimalSystem;
 pub use proposed::{DecisionPolicy, ProposedSystem};

@@ -66,19 +66,52 @@ pub struct ProposedSystem<'a> {
     distilled: Option<BestCorePredictor>,
 }
 
-/// How the proposed system resolves a busy best core once every idle
-/// core's best configuration is known. [`Evaluate`](DecisionPolicy::Evaluate)
-/// is the paper's Section IV.E behaviour; the other two are ablations that
+/// How the proposed system resolves a busy best core.
+/// [`Evaluate`](DecisionPolicy::Evaluate) is the paper's Section IV.E
+/// behaviour; [`BestCoreOnly`](DecisionPolicy::BestCoreOnly) is the paper's
+/// energy-centric comparator system; the other two are ablations that
 /// isolate the decision's contribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecisionPolicy {
     /// Evaluate the energy-advantageous equation (the paper's system).
     #[default]
     Evaluate,
-    /// Never borrow a non-best core (decision hard-wired to stall).
+    /// Never borrow a non-best core (decision hard-wired to stall). Idle
+    /// cores whose best configuration is unknown still take the job
+    /// (phase 3, information gathering).
     AlwaysStall,
     /// Always borrow the cheapest idle core (decision hard-wired to run).
     AlwaysRun,
+    /// The paper's *energy-centric* system (Sec. V): it "only scheduled
+    /// benchmarks to the benchmark's best core even if idle cores were
+    /// available". A busy best core always means a stall, so both phase 3
+    /// (information gathering on untuned idle cores) and phase 4 (the
+    /// Sec. IV.E evaluation) are skipped. That is what separates it from
+    /// [`AlwaysStall`](DecisionPolicy::AlwaysStall), which still runs
+    /// phase 3 and so places jobs on non-best cores.
+    ///
+    /// ```
+    /// use energy_model::EnergyModel;
+    /// use hetero_core::{
+    ///     Architecture, BestCorePredictor, DecisionPolicy, PredictorConfig, ProposedSystem,
+    ///     SuiteOracle,
+    /// };
+    /// use multicore_sim::Simulator;
+    /// use workloads::{ArrivalPlan, Suite};
+    ///
+    /// let suite = Suite::eembc_like_small();
+    /// let model = EnergyModel::default();
+    /// let oracle = SuiteOracle::build(&suite, &model);
+    /// let arch = Architecture::paper_quad();
+    /// let predictor = BestCorePredictor::train(&oracle, &PredictorConfig::fast());
+    /// let mut system = ProposedSystem::with_model(&arch, &oracle, model, predictor)
+    ///     .with_decision_policy(DecisionPolicy::BestCoreOnly);
+    /// let plan = ArrivalPlan::uniform(60, 30_000_000, suite.len(), 2);
+    /// let metrics = Simulator::new(4).run(&plan, &mut system);
+    /// assert_eq!(metrics.jobs_completed, 60);
+    /// assert_eq!(system.stats().decisions_evaluated, 0);
+    /// ```
+    BestCoreOnly,
 }
 
 impl<'a> ProposedSystem<'a> {
@@ -244,8 +277,9 @@ impl Scheduler for ProposedSystem<'_> {
             return self.run_with_tuning(job, core);
         }
 
-        // The best core is busy. Candidates are all idle (non-best) cores.
-        if cores.idle_count() == 0 {
+        // The best core is busy. Candidates are all idle (non-best) cores;
+        // the energy-centric system accepts none of them.
+        if self.policy == DecisionPolicy::BestCoreOnly || cores.idle_count() == 0 {
             return Decision::Stall;
         }
 
@@ -301,7 +335,7 @@ impl Scheduler for ProposedSystem<'_> {
             );
             let borrow = match self.policy {
                 DecisionPolicy::Evaluate => !decision.stall_is_advantageous(),
-                DecisionPolicy::AlwaysStall => false,
+                DecisionPolicy::AlwaysStall | DecisionPolicy::BestCoreOnly => false,
                 DecisionPolicy::AlwaysRun => true,
             };
             if borrow {
@@ -726,6 +760,57 @@ mod tests {
                 "{benchmark} must carry the static fallback prediction"
             );
         }
+    }
+
+    fn run_best_core_only(
+        f: &Fixture,
+        jobs: usize,
+        horizon: u64,
+        seed: u64,
+    ) -> (ProposedSystem<'static>, RunMetrics) {
+        let predictor = BestCorePredictor::train(f.oracle, &PredictorConfig::fast());
+        let mut system = ProposedSystem::with_model(f.arch, f.oracle, f.model, predictor)
+            .with_decision_policy(DecisionPolicy::BestCoreOnly);
+        let plan = ArrivalPlan::uniform(jobs, horizon, f.suite.len(), seed);
+        let metrics = Simulator::new(4).run(&plan, &mut system);
+        (system, metrics)
+    }
+
+    #[test]
+    fn best_core_only_completes_all_jobs_despite_always_stalling() {
+        let (_, metrics) = run_best_core_only(&fixture(), 150, 40_000_000, 21);
+        assert_eq!(metrics.jobs_completed, 150);
+    }
+
+    #[test]
+    fn best_core_only_executions_land_only_on_predicted_best_cores() {
+        // With the paper architecture, a benchmark predicted best at 2 KB
+        // must only ever run on core 1 (besides its one profiling run on
+        // cores 3/4). We verify via the profiling table: every recorded
+        // non-base configuration has the predicted size.
+        let (system, _) = run_best_core_only(&fixture(), 200, 50_000_000, 22);
+        for (benchmark, entry) in system.table().iter() {
+            for (config, _) in entry.explored() {
+                if config == cache_sim::BASE_CONFIG {
+                    continue; // the profiling run
+                }
+                assert_eq!(
+                    config.size(),
+                    entry.predicted_best_size,
+                    "{benchmark} ran a non-best-size configuration {config}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn best_core_only_stalls_under_contention() {
+        // Tight horizon: many jobs competing for the same best cores.
+        let (_, metrics) = run_best_core_only(&fixture(), 150, 1_000_000, 23);
+        assert!(
+            metrics.stalls > 0,
+            "always-stall policy must stall under load"
+        );
     }
 
     #[test]

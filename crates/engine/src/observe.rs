@@ -376,10 +376,11 @@ pub fn health_body(
                 out.push_str(", ");
             }
             let (fast, slow) = burn.burn_rates(index);
+            out.push_str("{\"rule\": \"");
+            push_json_escaped(&mut out, &rule.name);
             let _ = write!(
                 out,
-                "{{\"rule\": \"{}\", \"state\": \"{}\", \"fast_burn\": {:.3}, \"slow_burn\": {:.3}}}",
-                json_escape(&rule.name),
+                "\", \"state\": \"{}\", \"fast_burn\": {:.3}, \"slow_burn\": {:.3}}}",
                 burn.state(index).name(),
                 fast,
                 slow,
@@ -441,15 +442,23 @@ pub fn snapshot_body(engine: &EngineSink) -> String {
     out
 }
 
-fn json_escape(text: &str) -> String {
-    text.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
+/// Append `text` to `out` as the inside of a JSON string: quote,
+/// backslash and every control character U+0000–U+001F escaped, as
+/// RFC 8259 requires.
+fn push_json_escaped(out: &mut String, text: &str) {
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
 }
 
 /// [`run_streaming`](crate::run_streaming) under an overload governor,

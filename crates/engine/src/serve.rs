@@ -584,6 +584,62 @@ mod tests {
     }
 
     #[test]
+    fn an_oversize_head_gets_400_and_the_server_keeps_answering() {
+        let server = ScrapeServer::bind(0, ROUTES).expect("bind loopback");
+        server.publish_final(&mut render);
+        let addr = server.addr();
+        // One byte past the bound and no blank line: the head can never
+        // complete, so the server must give up on size, not on time.
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let started = Instant::now();
+        stream
+            .write_all(&vec![b'a'; MAX_REQUEST_BYTES + 1])
+            .expect("write oversize head");
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).expect("read reply");
+        assert!(reply.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{reply}");
+        assert!(
+            started.elapsed() < READ_TIMEOUT,
+            "rejected on size, not at the read deadline"
+        );
+        assert_eq!(server.stats().rejected, 1);
+        assert!(get(addr, "/metrics").ends_with("jobs_total 7\n"));
+        let stats = server.stats();
+        assert_eq!((stats.served, stats.rejected), (1, 1));
+    }
+
+    #[test]
+    fn a_half_closed_client_still_gets_the_whole_body() {
+        const BODY_BYTES: usize = 256 << 10;
+        let server = ScrapeServer::bind(0, ROUTES).expect("bind loopback");
+        let addr = server.addr();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+                .expect("write request");
+            // Done sending: the server sees EOF after the head.
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+            let mut out = String::new();
+            stream.read_to_string(&mut out).expect("read response");
+            out
+        });
+        while !server.wanted() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.publish(&mut |_| Response::prometheus("y".repeat(BODY_BYTES)));
+        let reply = client.join().expect("client thread");
+        let (head, body) = reply.split_once("\r\n\r\n").expect("complete head");
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+        assert!(head.contains(&format!("Content-Length: {BODY_BYTES}\r\n")));
+        assert_eq!(body.len(), BODY_BYTES);
+        assert!(body.bytes().all(|b| b == b'y'));
+        assert_eq!(server.stats().served, 1);
+    }
+
+    #[test]
     fn dropping_the_server_during_a_flood_returns_promptly() {
         let server = ScrapeServer::bind(0, ROUTES).expect("bind loopback");
         let addr = server.addr();

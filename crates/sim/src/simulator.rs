@@ -45,6 +45,21 @@ fn prio_key(job: &Job) -> PrioKey {
     (Reverse(job.priority), job.seq)
 }
 
+/// Refund the unexecuted `remaining` cycles of a charged execution that
+/// ended early (crash, watchdog kill, outage eviction or preemption): the
+/// exact arithmetic [`LedgerAuditor`](crate::LedgerAuditor) replays.
+fn refund(
+    energy: &mut EnergyBreakdown,
+    busy_cycles: &mut u64,
+    charged: &crate::job::JobExecution,
+    remaining: u64,
+) {
+    let fraction = remaining as f64 / charged.cycles as f64;
+    energy.dynamic_nj -= charged.energy.dynamic_nj * fraction;
+    energy.static_nj -= charged.energy.static_nj * fraction;
+    *busy_cycles -= remaining;
+}
+
 /// The simulator's ready queue, indexed per discipline.
 ///
 /// * FIFO keeps the reference loop's `VecDeque` rotation verbatim:
@@ -731,6 +746,47 @@ impl Simulator {
             }
         };
 
+        // The one booking step behind both placement sites (a granted
+        // preemption and the scheduling pass): charge `$execution` through
+        // the fault draw, occupy `$core`, arm its end event, book the
+        // charged energy and busy cycles, end the job's stall episode and
+        // record the placement. A macro rather than a closure, because the
+        // loop keeps using every ledger it writes.
+        macro_rules! book {
+            ($job:expr, $core:expr, $execution:expr, $kind:expr) => {{
+                let (job, core): (Job, CoreId) = ($job, $core);
+                let charge = charge_for(&job, $execution, clock, &failures);
+                cores.place(
+                    core,
+                    BusyInfo {
+                        job,
+                        started: clock,
+                        busy_until: clock + charge.execution.cycles,
+                    },
+                );
+                running_exec[core.0] = Some(charge.execution);
+                if !QUIET {
+                    outcome[core.0] = charge.outcome;
+                }
+                completions.push(Reverse((charge.event_at, core.0, tokens[core.0])));
+                energy += charge.execution.energy;
+                busy_cycles[core.0] += charge.execution.cycles;
+                stalled.remove(job.seq);
+                if sink.enabled() {
+                    sink.record(TraceEvent::Placement {
+                        seq: job.seq,
+                        benchmark: job.benchmark,
+                        core,
+                        at: clock,
+                        cycles: charge.execution.cycles,
+                        dynamic_nj: charge.execution.energy.dynamic_nj,
+                        static_nj: charge.execution.energy.static_nj,
+                        kind: $kind,
+                    });
+                }
+            }};
+        }
+
         loop {
             // Next event time. Skip completion events whose execution was
             // preempted or evicted (stale token).
@@ -864,13 +920,13 @@ impl Simulator {
                         let exec = exec.expect("occupied");
                         outcome[index] = AttemptOutcome::Complete;
                         debug_assert_eq!(info.started + executed, t);
-                        // Refund the unexecuted remainder — the exact
-                        // eviction arithmetic, replayed by the auditor.
-                        let remaining_cycles = exec.cycles - executed;
-                        let refund = remaining_cycles as f64 / exec.cycles as f64;
-                        energy.dynamic_nj -= exec.energy.dynamic_nj * refund;
-                        energy.static_nj -= exec.energy.static_nj * refund;
-                        busy_cycles[index] -= remaining_cycles;
+                        // Refund the unexecuted remainder.
+                        refund(
+                            &mut energy,
+                            &mut busy_cycles[index],
+                            &exec,
+                            exec.cycles - executed,
+                        );
                         match kind {
                             FaultKind::Crash => stats.crashes += 1,
                             _ => stats.watchdog_kills += 1,
@@ -923,11 +979,12 @@ impl Simulator {
                             if let Some(info) = cores.vacate(core) {
                                 let exec = running_exec[index].take().expect("occupied");
                                 let executed = clock - info.started;
-                                let remaining_cycles = exec.cycles - executed;
-                                let refund = remaining_cycles as f64 / exec.cycles as f64;
-                                energy.dynamic_nj -= exec.energy.dynamic_nj * refund;
-                                energy.static_nj -= exec.energy.static_nj * refund;
-                                busy_cycles[index] -= remaining_cycles;
+                                refund(
+                                    &mut energy,
+                                    &mut busy_cycles[index],
+                                    &exec,
+                                    exec.cycles - executed,
+                                );
                                 tokens[index] += 1; // invalidate its end event
                                 outcome[index] = AttemptOutcome::Complete;
                                 stats.outage_evictions += 1;
@@ -1068,10 +1125,12 @@ impl Simulator {
                                     // every case.
                                     let old = running_exec[index].take().expect("occupied");
                                     let remaining_cycles = info.busy_until - clock;
-                                    let refund = remaining_cycles as f64 / old.cycles as f64;
-                                    energy.dynamic_nj -= old.energy.dynamic_nj * refund;
-                                    energy.static_nj -= old.energy.static_nj * refund;
-                                    busy_cycles[index] -= remaining_cycles;
+                                    refund(
+                                        &mut energy,
+                                        &mut busy_cycles[index],
+                                        &old,
+                                        remaining_cycles,
+                                    );
                                     tokens[index] += 1;
                                     preemptions += 1;
                                     if sink.enabled() {
@@ -1088,41 +1147,12 @@ impl Simulator {
                                     scheduler.on_preempt(&info.job, CoreId(index), clock);
                                     let _ = ready.take_urgent();
                                     ready.push(info.job);
-                                    // Place the urgent job through the
-                                    // fault draw.
-                                    let charge = charge_for(&urgent, execution, clock, &failures);
-                                    cores.place(
+                                    book!(
+                                        urgent,
                                         CoreId(index),
-                                        BusyInfo {
-                                            job: urgent,
-                                            started: clock,
-                                            busy_until: clock + charge.execution.cycles,
-                                        },
+                                        execution,
+                                        PlacementKind::Preemption
                                     );
-                                    running_exec[index] = Some(charge.execution);
-                                    if !QUIET {
-                                        outcome[index] = charge.outcome;
-                                    }
-                                    completions.push(Reverse((
-                                        charge.event_at,
-                                        index,
-                                        tokens[index],
-                                    )));
-                                    energy += charge.execution.energy;
-                                    busy_cycles[index] += charge.execution.cycles;
-                                    stalled.remove(urgent.seq);
-                                    if sink.enabled() {
-                                        sink.record(TraceEvent::Placement {
-                                            seq: urgent.seq,
-                                            benchmark: urgent.benchmark,
-                                            core: CoreId(index),
-                                            at: clock,
-                                            cycles: charge.execution.cycles,
-                                            dynamic_nj: charge.execution.energy.dynamic_nj,
-                                            static_nj: charge.execution.energy.static_nj,
-                                            kind: PlacementKind::Preemption,
-                                        });
-                                    }
                                     evicted = true;
                                 }
                                 Decision::Stall => {
@@ -1169,36 +1199,8 @@ impl Simulator {
                                 execution.energy.idle_nj, 0.0,
                                 "execution energy must not carry idle energy"
                             );
-                            let charge = charge_for(&job, execution, clock, &failures);
                             ready.placed(&cursor);
-                            cores.place(
-                                core,
-                                BusyInfo {
-                                    job,
-                                    started: clock,
-                                    busy_until: clock + charge.execution.cycles,
-                                },
-                            );
-                            running_exec[core.0] = Some(charge.execution);
-                            if !QUIET {
-                                outcome[core.0] = charge.outcome;
-                            }
-                            completions.push(Reverse((charge.event_at, core.0, tokens[core.0])));
-                            energy += charge.execution.energy;
-                            busy_cycles[core.0] += charge.execution.cycles;
-                            stalled.remove(job.seq);
-                            if sink.enabled() {
-                                sink.record(TraceEvent::Placement {
-                                    seq: job.seq,
-                                    benchmark: job.benchmark,
-                                    core,
-                                    at: clock,
-                                    cycles: charge.execution.cycles,
-                                    dynamic_nj: charge.execution.energy.dynamic_nj,
-                                    static_nj: charge.execution.energy.static_nj,
-                                    kind: PlacementKind::Pass,
-                                });
-                            }
+                            book!(job, core, execution, PlacementKind::Pass);
                             remaining = ready.len();
                         }
                         Decision::Stall => {

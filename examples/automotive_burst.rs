@@ -12,8 +12,8 @@
 
 use hetero_sched::energy_model::EnergyModel;
 use hetero_sched::hetero_core::{
-    Architecture, BaseSystem, BestCorePredictor, EnergyCentricSystem, OptimalSystem,
-    PredictorConfig, ProposedSystem, SuiteOracle,
+    Architecture, BaseSystem, BestCorePredictor, DecisionPolicy, OptimalSystem, PredictorConfig,
+    ProposedSystem, SuiteOracle,
 };
 use hetero_sched::multicore_sim::Simulator;
 use hetero_sched::workloads::{Arrival, ArrivalPlan, BenchmarkId, Domain, SplitMix64, Suite};
@@ -72,7 +72,8 @@ fn main() {
     let base_metrics = simulator.run(&plan, &mut base);
     let mut optimal = OptimalSystem::new(&arch, &oracle, model);
     let optimal_metrics = simulator.run(&plan, &mut optimal);
-    let mut energy_centric = EnergyCentricSystem::new(&arch, &oracle, model, predictor.clone());
+    let mut energy_centric = ProposedSystem::with_model(&arch, &oracle, model, predictor.clone())
+        .with_decision_policy(DecisionPolicy::BestCoreOnly);
     let energy_centric_metrics = simulator.run(&plan, &mut energy_centric);
     let mut proposed = ProposedSystem::with_model(&arch, &oracle, model, predictor);
     let proposed_metrics = simulator.run(&plan, &mut proposed);

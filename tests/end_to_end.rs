@@ -3,8 +3,8 @@
 
 use hetero_sched::energy_model::EnergyModel;
 use hetero_sched::hetero_core::{
-    Architecture, BaseSystem, BestCorePredictor, EnergyCentricSystem, OptimalSystem,
-    PredictorConfig, ProposedSystem, SuiteOracle,
+    Architecture, BaseSystem, BestCorePredictor, DecisionPolicy, OptimalSystem, PredictorConfig,
+    ProposedSystem, SuiteOracle,
 };
 use hetero_sched::multicore_sim::{RunMetrics, Simulator};
 use hetero_sched::workloads::{ArrivalPlan, Suite};
@@ -45,7 +45,8 @@ fn run_all(w: &World, jobs: usize, horizon: u64, seed: u64) -> AllRuns {
     let mut base = BaseSystem::new(&w.oracle, w.model, w.arch.num_cores());
     let mut optimal = OptimalSystem::new(&w.arch, &w.oracle, w.model);
     let mut energy_centric =
-        EnergyCentricSystem::new(&w.arch, &w.oracle, w.model, w.predictor.clone());
+        ProposedSystem::with_model(&w.arch, &w.oracle, w.model, w.predictor.clone())
+            .with_decision_policy(DecisionPolicy::BestCoreOnly);
     let mut proposed = ProposedSystem::with_model(&w.arch, &w.oracle, w.model, w.predictor.clone());
     AllRuns {
         base: simulator.run(&plan, &mut base),
